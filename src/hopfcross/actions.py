@@ -16,11 +16,10 @@ element of H" is coefficient extraction.
 
 from dataclasses import dataclass
 
-from .algebra import (check_algebra_axioms, dual_hopf, tensor_algebra,
-                      tensor_hopf, variant)
+from .algebra import dual_hopf, tensor_algebra, tensor_hopf, variant
 from .errors import DimensionMismatchError, UnverifiedActionError
 from .linalg import LinearMap, sv_add_into, sv_canon
-from .report import CheckMode, CheckReport
+from .report import CheckReport
 
 
 @dataclass
@@ -80,12 +79,10 @@ class CoactionData:
 # ---------------------------------------------------------------------------
 # axiom checks
 
-def check_module_axioms(act, actor_alg, mode=None):
+def check_module_axioms(act, actor_alg):
     """Unit acts as identity; action associates with the actor's product."""
     if act.actor_dim != actor_alg.dim:
         raise DimensionMismatchError("actor dim does not match algebra dim")
-    if mode is None:
-        mode = CheckMode.auto(act.actor_dim)
     report = CheckReport()
     field = act.field
     one = field.one
@@ -116,7 +113,7 @@ def check_module_axioms(act, actor_alg, mode=None):
     return report
 
 
-def check_module_algebra(side, hopf, alg, act, mode=None):
+def check_module_algebra(side, hopf, alg, act):
     """Module axioms plus H-equivariance of the product and unit of `alg`.
 
     Left:  h.(ab) = sum (h1.a)(h2.b) and h.1 = eps(h) 1.
@@ -126,7 +123,7 @@ def check_module_algebra(side, hopf, alg, act, mode=None):
         raise ValueError(f"action is {act.side}-sided, expected {side}")
     if act.space_dim != alg.dim:
         raise DimensionMismatchError("action space does not match algebra dim")
-    report = check_module_axioms(act, hopf.algebra, mode)
+    report = check_module_axioms(act, hopf.algebra)
     if not report.passed:
         return report
     field = act.field
@@ -296,12 +293,12 @@ def build_bimodule_algebra(a_alg, act_left, b_alg, act_right, hopf,
     return c_alg, act_l, act_r
 
 
-def check_bimodule_algebra(hopf, alg, act_left, act_right, mode=None):
+def check_bimodule_algebra(hopf, alg, act_left, act_right):
     """Left and right module-algebra axioms plus h.(c.g) = (h.c).g."""
-    report = check_module_algebra("left", hopf, alg, act_left, mode)
+    report = check_module_algebra("left", hopf, alg, act_left)
     if not report.passed:
         return report
-    report.absorb(check_module_algebra("right", hopf, alg, act_right, mode))
+    report.absorb(check_module_algebra("right", hopf, alg, act_right))
     if not report.passed:
         return report
     one = alg.field.one

@@ -17,17 +17,16 @@ are verified by `verify_action_correspondence`.
 """
 
 from dataclasses import dataclass
-import random
 
 from .actions import (ActionData, CoactionData, bicomodule_legs,
                       bicomodule_to_module, check_bicomodule_coherence,
                       check_coaction_axioms, check_module_axioms)
 from .algebra import random_dense_vector
-from .crossed import StandardTriple, build_xyz, diagonal_crossed, smash_handles, two_sided_crossed
+from .crossed import StandardTriple, diagonal_crossed, two_sided_crossed
 from .errors import DimensionMismatchError
 from .isos import build_iso
 from .linalg import sv_canon, sv_from_list
-from .report import CheckMode, CheckReport, MORPHISM_DIM_CAP
+from .report import CheckReport, MORPHISM_DIM_CAP, certify
 
 
 @dataclass
@@ -380,44 +379,31 @@ def check_module_over_handle(handle, act, mode=None):
     """Unit and (xy).m = x.(y.m) for a left action over an AlgebraHandle."""
     if act.actor_dim != handle.dim:
         raise DimensionMismatchError("action actor does not match handle")
-    if mode is None:
-        mode = CheckMode.auto(handle.dim, cap=MORPHISM_DIM_CAP)
-    report = CheckReport()
     field = handle.field
     one = field.one
-    for j in range(act.space_dim):
-        m = {j: one}
-        got = act.act_sv(handle.unit, m)
-        if got != m:
-            report.fail("module-unit", (j,), got, m)
-            return report
-        report.checked += 1
-    if mode.kind == "exhaustive":
+
+    def exhaustive():
         for i in range(handle.dim):
             ei = {i: one}
             for j in range(handle.dim):
                 prod = handle.basis_product(i, j)
                 for t in range(act.space_dim):
-                    m = {t: one}
-                    lhs = act.act_sv(prod, m)
-                    rhs = act.act_sv(ei, act.act_basis(j, t))
-                    report.checked += 1
-                    if lhs != rhs:
-                        report.fail("module-assoc", (i, j, t), lhs, rhs)
-                        return report
-        return report
-    rng = random.Random(mode.seed)
-    for t in range(mode.trials):
+                    yield (1, "module-assoc", (i, j, t),
+                           act.act_sv(prod, {t: one}),
+                           act.act_sv(ei, act.act_basis(j, t)))
+
+    def trial(rng, t):
         x = sv_from_list(field, random_dense_vector(field, rng, handle.dim))
         y = sv_from_list(field, random_dense_vector(field, rng, handle.dim))
         m = sv_from_list(field, random_dense_vector(field, rng, act.space_dim))
-        lhs = act.act_sv(handle.product(x, y), m)
-        rhs = act.act_sv(x, act.act_sv(y, m))
-        report.checked += 1
-        if lhs != rhs:
-            report.fail("module-assoc", ("trial", t), lhs, rhs)
-            return report
-    return report
+        yield (1, "module-assoc", ("trial", t),
+               act.act_sv(handle.product(x, y), m),
+               act.act_sv(x, act.act_sv(y, m)))
+
+    unit_law = ((1, "module-unit", (j,), act.act_sv(handle.unit, {j: one}),
+                 {j: one}) for j in range(act.space_dim))
+    return certify(mode, handle.dim, exhaustive, trial, prelude=unit_law,
+                   cap=MORPHISM_DIM_CAP)
 
 
 def verify_action_correspondence(module, hopf, setup=None, mode=None,
@@ -428,16 +414,12 @@ def verify_action_correspondence(module, hopf, setup=None, mode=None,
     n4 = setup.n ** 4
     field = setup.field
     one = field.one
-    if mode is None:
-        mode = CheckMode.auto(n4, cap=MORPHISM_DIM_CAP, trials=trials, seed=seed)
-    act_x = derived_action(module, hopf, "X", setup)
-    act_y = derived_action(module, hopf, "Y", setup)
-    act_z = derived_action(module, hopf, "Z", setup)
-    phi = build_iso("phi", hopf, setup)
-    alpha = build_iso("alpha", hopf, setup)
-    beta = build_iso("beta", hopf, setup)
-    report = CheckReport()
-    if mode.kind == "exhaustive":
+    act_x, act_y, act_z = (derived_action(module, hopf, w, setup)
+                           for w in ("X", "Y", "Z"))
+    phi, alpha, beta = (build_iso(kind, hopf, setup)
+                        for kind in ("phi", "alpha", "beta"))
+
+    def exhaustive():
         for i in range(n4):
             phi_i = phi.col_sv(i)
             beta_i = beta.col_sv(i)
@@ -445,45 +427,29 @@ def verify_action_correspondence(module, hopf, setup=None, mode=None,
             for t in range(module.space_dim):
                 m = {t: one}
                 via_x = act_x.act_basis(i, t)
-                via_y = act_y.act_sv(phi_i, m)
-                report.checked += 1
-                if via_x != via_y:
-                    report.fail("correspondence-X-Y", (i, t), via_x, via_y)
-                    return report
-                via_z = act_z.act_sv(beta_i, m)
-                if via_x != via_z:
-                    report.fail("correspondence-X-Z", (i, t), via_x, via_z)
-                    return report
-                y_direct = act_y.act_basis(i, t)
-                z_via_alpha = act_z.act_sv(alpha_i, m)
-                if y_direct != z_via_alpha:
-                    report.fail("correspondence-Y-Z", (i, t), y_direct,
-                                z_via_alpha)
-                    return report
-        return report
-    rng = random.Random(mode.seed)
-    for t in range(mode.trials):
+                yield (1, "correspondence-X-Y", (i, t), via_x,
+                       act_y.act_sv(phi_i, m))
+                yield (0, "correspondence-X-Z", (i, t), via_x,
+                       act_z.act_sv(beta_i, m))
+                yield (0, "correspondence-Y-Z", (i, t), act_y.act_basis(i, t),
+                       act_z.act_sv(alpha_i, m))
+
+    def trial(rng, t):
         x = random_dense_vector(field, rng, n4)
         m = sv_from_list(field, random_dense_vector(field, rng,
                                                     module.space_dim))
         x_sv = sv_from_list(field, x)
         via_x = act_x.act_sv(x_sv, m)
-        via_y = act_y.act_sv(sv_from_list(field, phi.apply_dense(x)), m)
-        report.checked += 1
-        if via_x != via_y:
-            report.fail("correspondence-X-Y", ("trial", t), via_x, via_y)
-            return report
-        via_z = act_z.act_sv(sv_from_list(field, beta.apply_dense(x)), m)
-        if via_x != via_z:
-            report.fail("correspondence-X-Z", ("trial", t), via_x, via_z)
-            return report
-        y_direct = act_y.act_sv(x_sv, m)
-        z_via_alpha = act_z.act_sv(sv_from_list(field, alpha.apply_dense(x)), m)
-        if y_direct != z_via_alpha:
-            report.fail("correspondence-Y-Z", ("trial", t), y_direct,
-                        z_via_alpha)
-            return report
-    return report
+        witness = ("trial", t)
+        yield (1, "correspondence-X-Y", witness, via_x,
+               act_y.act_sv(sv_from_list(field, phi.apply_dense(x)), m))
+        yield (0, "correspondence-X-Z", witness, via_x,
+               act_z.act_sv(sv_from_list(field, beta.apply_dense(x)), m))
+        yield (0, "correspondence-Y-Z", witness, act_y.act_sv(x_sv, m),
+               act_z.act_sv(sv_from_list(field, alpha.apply_dense(x)), m))
+
+    return certify(mode, n4, exhaustive, trial, cap=MORPHISM_DIM_CAP,
+                   trials=trials, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -707,29 +673,20 @@ def verify_f_correspondence(triple, module, hopf, setup=None, mode=None):
     assembled = assemble_two_sided_action(triple, n, n * n, n)
     z_act = derived_action(module, hopf, "Z", setup)
     n4 = n ** 4
-    if mode is None:
-        mode = CheckMode.auto(n4, cap=MORPHISM_DIM_CAP)
-    report = CheckReport()
-    if mode.kind == "exhaustive":
+
+    def exhaustive():
         for i in range(n4):
             fi = f_map.col_sv(i)
             for t in range(module.space_dim):
-                lhs = assembled.act_basis(i, t)
-                rhs = z_act.act_sv(fi, {t: one})
-                report.checked += 1
-                if lhs != rhs:
-                    report.fail("f-correspondence", (i, t), lhs, rhs)
-                    return report
-        return report
-    rng = random.Random(mode.seed)
-    for t in range(mode.trials):
+                yield (1, "f-correspondence", (i, t), assembled.act_basis(i, t),
+                       z_act.act_sv(fi, {t: one}))
+
+    def trial(rng, t):
         x = random_dense_vector(field, rng, n4)
         m = sv_from_list(field, random_dense_vector(field, rng,
                                                     module.space_dim))
-        lhs = assembled.act_sv(sv_from_list(field, x), m)
-        rhs = z_act.act_sv(sv_from_list(field, f_map.apply_dense(x)), m)
-        report.checked += 1
-        if lhs != rhs:
-            report.fail("f-correspondence", ("trial", t), lhs, rhs)
-            return report
-    return report
+        yield (1, "f-correspondence", ("trial", t),
+               assembled.act_sv(sv_from_list(field, x), m),
+               z_act.act_sv(sv_from_list(field, f_map.apply_dense(x)), m))
+
+    return certify(mode, n4, exhaustive, trial, cap=MORPHISM_DIM_CAP)

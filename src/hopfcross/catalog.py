@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .algebra import (AlgebraData, CoalgebraData, HopfAlgebraData,
                       check_hopf_axioms, dual_hopf, tensor_algebra)
-from .fields import PrimeField, QQ, Rationals
+from .fields import PrimeField, QQ
 from .linalg import sv_canon
 
 CATALOG_NAMES = ("cyclic", "dual_cyclic", "sweedler4", "taft")

@@ -22,14 +22,13 @@ from .catalog import catalog_hopf, parse_catalog_spec
 from .crossed import (StandardTriple, build_xyz, check_handle_axioms,
                       diagonal_crossed, materialize, smash_handles,
                       two_sided_crossed)
-from .errors import CapExceededError, FormatError
+from .errors import FormatError
 from .fields import PrimeField, QQ
-from .hopf_json import (algebra_to_json, dump_json, field_to_json,
-                        load_document, save_document)
+from .hopf_json import (algebra_to_json, field_to_json, load_document,
+                        save_document)
 from .isos import (build_iso, composition_identity, verify_algebra_morphism,
                    verify_mutually_inverse)
-from .linalg import sv_to_list
-from .report import CheckMode
+from .report import CheckMode, MORPHISM_DIM_CAP
 
 DEFAULT_CAP = 64
 
@@ -43,11 +42,16 @@ def _parse_mode(text, seed):
         return None
     if text == "exhaustive":
         return CheckMode.exhaustive()
-    if text.startswith("random:"):
-        return CheckMode.random(trials=int(text.split(":", 1)[1]), seed=seed)
     if text == "random":
         return CheckMode.random(seed=seed)
-    raise FormatError(f"bad mode {text!r}, want exhaustive or random:N")
+    if text.startswith("random:"):
+        try:
+            return CheckMode.random(trials=int(text.split(":", 1)[1]),
+                                    seed=seed)
+        except ValueError:
+            pass
+    raise FormatError(f"bad mode {text!r}, want exhaustive or random:N "
+                      f"with N >= 1")
 
 
 def _parse_field(text):
@@ -71,13 +75,8 @@ def _report_line(label, report, field, unit="checks"):
     return False
 
 
-def _load(path):
-    doc = load_document(path)
-    return doc
-
-
 def cmd_check(args):
-    doc = _load(args.file)
+    doc = load_document(args.file)
     field = doc.field
     mode = _parse_mode(args.mode, args.seed)
     if mode is None:
@@ -153,11 +152,12 @@ def _build_handle(construction, hopf, setup):
 
 
 def cmd_build(args):
-    doc = _load(args.input)
+    doc = load_document(args.input)
     if doc.hopf is None:
         raise FormatError("build needs a full Hopf algebra document")
     hopf = doc.hopf
     field = hopf.field
+    hmode = _parse_mode(args.mode, args.seed)
     mode = CheckMode.auto(hopf.dim, seed=args.seed)
     if not _report_line("input hopf axioms", check_hopf_axioms(hopf, mode),
                         field):
@@ -167,12 +167,13 @@ def cmd_build(args):
     _emit(f"construction: {args.construction}")
     _emit(f"input dim: {hopf.dim}")
     _emit(f"product dim: {handle.dim}")
-    hmode = _parse_mode(args.mode, args.seed)
     if hmode is None:
         hmode = CheckMode.auto(handle.dim, seed=args.seed)
-    label = ("unit + associativity (exhaustive)" if hmode.kind == "exhaustive"
-             else f"unit + associativity (random, {hmode.trials} trials)")
-    if not _report_line(label, check_handle_axioms(handle, hmode), field):
+    rep = check_handle_axioms(handle, hmode)
+    label = ("unit + associativity (exhaustive)"
+             if rep.mode.kind == "exhaustive"
+             else f"unit + associativity (random, {rep.mode.trials} trials)")
+    if not _report_line(label, rep, field):
         return 1
     if args.out:
         if handle.dim <= args.materialize_cap:
@@ -196,11 +197,12 @@ def cmd_build(args):
 
 
 def cmd_iso(args):
-    doc = _load(args.input)
+    doc = load_document(args.input)
     if doc.hopf is None:
         raise FormatError("iso needs a full Hopf algebra document")
     hopf = doc.hopf
     field = hopf.field
+    vmode = _parse_mode(args.mode, args.seed)
     mode = CheckMode.auto(hopf.dim, seed=args.seed)
     if not _report_line("input hopf axioms", check_hopf_axioms(hopf, mode),
                         field):
@@ -214,10 +216,9 @@ def cmd_iso(args):
     _emit(f"kind: {args.kind} ({src_name} -> {dst_name})")
     _emit(f"input dim: {hopf.dim}")
     _emit(f"product dim: {src.dim}")
-    vmode = _parse_mode(args.mode, args.seed)
     rep = verify_algebra_morphism(forward, src, dst, mode=vmode,
                                   seed=args.seed)
-    unit = "pairs" if (vmode or CheckMode.auto(src.dim, cap=81)).kind == "exhaustive" else "trials"
+    unit = "pairs" if rep.mode.kind == "exhaustive" else "trials"
     if not _report_line("morphism", rep, field, unit=unit):
         return 1
     if not _report_line("inverse", verify_mutually_inverse(forward, backward),
@@ -242,7 +243,7 @@ def cmd_iso(args):
 
 
 def cmd_bimodule(args):
-    doc = _load(args.input)
+    doc = load_document(args.input)
     if doc.hopf is None:
         raise FormatError("bimodule needs a full Hopf algebra document")
     hopf = doc.hopf
@@ -270,9 +271,8 @@ def cmd_bimodule(args):
     handles["right_smash"] = rs
     for which in ("X", "Y", "Z", "left_smash", "right_smash"):
         act = derived_action(module, hopf, which, setup)
-        rep = check_module_over_handle(
-            handles[which], act,
-            CheckMode.auto(handles[which].dim, cap=81, seed=args.seed))
+        rep = check_module_over_handle(handles[which], act, CheckMode.auto(
+            handles[which].dim, cap=MORPHISM_DIM_CAP, seed=args.seed))
         if not _report_line(f"{which} module axiom", rep, field):
             return 1
     rep = verify_action_correspondence(module, hopf, setup, seed=args.seed)
@@ -280,10 +280,11 @@ def cmd_bimodule(args):
                         field):
         return 1
     triple = triple_from_bimodule(module, hopf, setup)
+    product_mode = CheckMode.auto(setup.n ** 4, cap=MORPHISM_DIM_CAP,
+                                  seed=args.seed)
     rep = triple_module_roundtrip(
         triple, setup.dual.algebra, setup.K, setup.dual_op_alg,
-        setup.act_on_dual, setup.act_on_dual_op,
-        CheckMode.auto(setup.n ** 4, cap=81, seed=args.seed))
+        setup.act_on_dual, setup.act_on_dual_op, product_mode)
     if not _report_line("triple roundtrip", rep, field):
         return 1
     from .actions import ActionData
@@ -299,19 +300,17 @@ def cmd_bimodule(args):
     c_act = ActionData(field, n * n, module.space_dim, "left", c_tensor)
     rep = diagonal_module_condition(
         c_act, triple.h_act, setup.C, setup.K, setup.act_left_C,
-        setup.act_right_C, CheckMode.auto(setup.n ** 4, cap=81, seed=args.seed))
+        setup.act_right_C, product_mode)
     if not _report_line("diagonal condition", rep, field):
         return 1
-    rep = verify_f_correspondence(triple, module, hopf, setup,
-                                  CheckMode.auto(setup.n ** 4, cap=81,
-                                                 seed=args.seed))
+    rep = verify_f_correspondence(triple, module, hopf, setup, product_mode)
     if not _report_line("f correspondence", rep, field):
         return 1
     return 0
 
 
 def cmd_semisimple(args):
-    doc = _load(args.file)
+    doc = load_document(args.file)
     alg = doc.algebra
     _emit(f"file: {args.file}")
     _emit(f"field: {alg.field}")

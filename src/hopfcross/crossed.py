@@ -27,15 +27,12 @@ dual D and K = H (x) H^op:
   sum (g2 (x) h2) (x) (S^-1(h1)->p<-S(g1) (x) S(h3)->q<-S^-1(g3)).
 """
 
-from .algebra import (AlgebraData, dual_hopf, op_algebra, tensor_hopf, variant,
-                      random_dense_vector)
+from .algebra import (AlgebraData, check_unit_and_associativity, dual_hopf,
+                      op_algebra, tensor_hopf, variant)
 from .actions import (ActionData, build_bimodule_algebra,
-                      check_bimodule_algebra, check_module_algebra,
-                      regular_actions)
-from .errors import CapExceededError, FieldMismatchError, UnverifiedActionError
-from .linalg import sv_canon, sv_from_list, sv_tensor, unflatten_index
-from .report import CheckMode, CheckReport
-import random
+                      check_bimodule_algebra, check_module_algebra)
+from .errors import CapExceededError, UnverifiedActionError
+from .linalg import sv_canon, sv_tensor, unflatten_index
 
 
 class AlgebraHandle:
@@ -147,56 +144,9 @@ def handle_from_algebra(alg, provenance="plain", factor_dims=None):
 
 def check_handle_axioms(handle, mode=None):
     """Unit law and associativity through the oracle."""
-    if mode is None:
-        mode = CheckMode.auto(handle.dim)
-    report = CheckReport()
-    field = handle.field
-    one = field.one
-    n = handle.dim
-    if mode.kind == "exhaustive":
-        for i in range(n):
-            e = {i: one}
-            got = handle.product(handle.unit, e)
-            if got != e:
-                report.fail("unit-law-left", (i,), got, e)
-                return report
-            got = handle.product(e, handle.unit)
-            if got != e:
-                report.fail("unit-law-right", (i,), got, e)
-                return report
-            report.checked += 1
-        for i in range(n):
-            for j in range(n):
-                ij = handle.basis_product(i, j)
-                for k in range(n):
-                    lhs = handle.product(ij, {k: one})
-                    rhs = handle.product({i: one}, handle.basis_product(j, k))
-                    report.checked += 1
-                    if lhs != rhs:
-                        report.fail("associativity", (i, j, k), lhs, rhs)
-                        return report
-        return report
-    rng = random.Random(mode.seed)
-    unit = handle.unit_dense()
-    for t in range(mode.trials):
-        x = random_dense_vector(field, rng, n)
-        y = random_dense_vector(field, rng, n)
-        z = random_dense_vector(field, rng, n)
-        ux = handle.product_dense(unit, x)
-        if ux != x:
-            report.fail("unit-law-left", ("trial", t), ux, x)
-            return report
-        xu = handle.product_dense(x, unit)
-        if xu != x:
-            report.fail("unit-law-right", ("trial", t), xu, x)
-            return report
-        lhs = handle.product_dense(handle.product_dense(x, y), z)
-        rhs = handle.product_dense(x, handle.product_dense(y, z))
-        report.checked += 1
-        if lhs != rhs:
-            report.fail("associativity", ("trial", t), lhs, rhs)
-            return report
-    return report
+    return check_unit_and_associativity(
+        handle.field, handle.dim, handle.unit, handle.unit_dense(),
+        handle.product, handle.basis_product, handle.product_dense, mode)
 
 
 # ---------------------------------------------------------------------------

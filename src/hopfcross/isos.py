@@ -11,22 +11,16 @@ the canonical triple (where it coincides with alpha).
 `alpha o phi` as a matrix is a verification target, not an assumption.
 """
 
-import random
-
 from .algebra import random_dense_vector
 from .crossed import StandardTriple
 from .errors import DimensionMismatchError
 from .linalg import LinearMap, sv_canon
-from .report import CheckMode, CheckReport, MORPHISM_DIM_CAP
+from .report import CheckReport, MORPHISM_DIM_CAP, certify
 
 ISO_KINDS = ("phi", "phi_inv", "alpha", "alpha_inv", "beta", "beta_inv",
              "f", "f_inv")
 
 MORPHISM_TRIALS = 200
-
-
-def _columns_to_map(field, n4, cols):
-    return LinearMap.from_columns(field, n4, n4, cols)
 
 
 def build_iso(kind, hopf, setup=None):
@@ -131,7 +125,7 @@ def build_iso(kind, hopf, setup=None):
     else:
         return diagonal_to_two_sided(setup.dual.algebra, setup.K,
                                      setup.dual_op_alg, setup.act_on_dual_op)
-    return _columns_to_map(field, n4, cols)
+    return LinearMap.from_columns(field, n4, n4, cols)
 
 
 def two_sided_to_diagonal(a_alg, hopf, b_alg, act_right):
@@ -182,37 +176,25 @@ def verify_algebra_morphism(lm, src, dst, mode=None, seed=0,
     """
     if lm.src_dim != src.dim or lm.dst_dim != dst.dim:
         raise DimensionMismatchError("map does not match the two algebras")
-    if mode is None:
-        mode = CheckMode.auto(src.dim, cap=MORPHISM_DIM_CAP, trials=trials,
-                              seed=seed)
-    report = CheckReport()
-    unit_image = lm.apply_sv(src.unit)
-    if unit_image != sv_canon(dst.field, dst.unit):
-        report.fail("morphism-unit", (), unit_image, dict(dst.unit))
-        return report
-    if mode.kind == "exhaustive":
-        one = src.field.one
+
+    def exhaustive():
         for i in range(src.dim):
             fi = lm.col_sv(i)
             for j in range(src.dim):
-                lhs = lm.apply_sv(src.basis_product(i, j))
-                rhs = dst.product(fi, lm.col_sv(j))
-                report.checked += 1
-                if lhs != rhs:
-                    report.fail("morphism-multiplicative", (i, j), lhs, rhs)
-                    return report
-        return report
-    rng = random.Random(mode.seed)
-    for t in range(mode.trials):
-        x = random_dense_vector(src.field, rng, src.dim)
-        y = random_dense_vector(src.field, rng, src.dim)
-        lhs = lm.apply_dense(src.product_dense(x, y))
-        rhs = dst.product_dense(lm.apply_dense(x), lm.apply_dense(y))
-        report.checked += 1
-        if lhs != rhs:
-            report.fail("morphism-multiplicative", ("trial", t), lhs, rhs)
-            return report
-    return report
+                yield (1, "morphism-multiplicative", (i, j),
+                       lm.apply_sv(src.basis_product(i, j)),
+                       dst.product(fi, lm.col_sv(j)))
+
+    def trial(rng, t):
+        x, y = (random_dense_vector(src.field, rng, src.dim) for _ in range(2))
+        yield (1, "morphism-multiplicative", ("trial", t),
+               lm.apply_dense(src.product_dense(x, y)),
+               dst.product_dense(lm.apply_dense(x), lm.apply_dense(y)))
+
+    unit_law = [(0, "morphism-unit", (), lm.apply_sv(src.unit),
+                 sv_canon(dst.field, dst.unit))]
+    return certify(mode, src.dim, exhaustive, trial, prelude=unit_law,
+                   cap=MORPHISM_DIM_CAP, trials=trials, seed=seed)
 
 
 def verify_mutually_inverse(m1, m2):

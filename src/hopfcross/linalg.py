@@ -32,13 +32,6 @@ def sv_add_into(acc, v, c):
         acc[k] = acc.get(k, 0) + c * x
 
 
-def sv_scale(field, v, c):
-    c = field.canon(c)
-    if c == field.zero:
-        return {}
-    return sv_canon(field, {k: c * x for k, x in v.items()})
-
-
 def sv_from_list(field, xs):
     out = {}
     for i, c in enumerate(xs):
@@ -178,11 +171,6 @@ class LinearMap:
                 out.rows[r] = [canon(v) for v in acc]
         return out
 
-    def transpose(self):
-        rows = [[self.rows[r][c] for r in range(self.dst_dim)]
-                for c in range(self.src_dim)]
-        return LinearMap(self.field, self.dst_dim, self.src_dim, rows)
-
     def equals(self, other):
         if self.src_dim != other.src_dim or self.dst_dim != other.dst_dim:
             return False
@@ -202,10 +190,6 @@ class LinearMap:
                 if not eq(c, one if i == j else self.field.zero):
                     return False
         return True
-
-    def inverse(self):
-        return LinearMap(self.field, self.dst_dim, self.src_dim,
-                         mat_inv(self.field, self.rows))
 
 
 def mat_inv(field, rows):

@@ -4,10 +4,13 @@ A CheckReport carries a pass/fail flag plus the first violation found
 (axiom name, witness indices, both sides of the failed identity) and a
 count of checked items, so callers can print e.g. "pass (256 pairs)".
 Checks stop at the first violation; reports are deterministic for a
-fixed seed because every iteration order is fixed.
+fixed seed because every iteration order is fixed.  `certify` is the
+one place that chooses between exhaustive and random checking.
 """
 
 from dataclasses import dataclass, field
+import itertools
+import random
 
 
 EXHAUSTIVE_DIM_CAP = 32      # algebras larger than this default to random mode
@@ -23,6 +26,11 @@ class CheckMode:
     kind: str  # "exhaustive" | "random"
     trials: int = DEFAULT_TRIALS
     seed: int = 0
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError(f"a random check needs at least one trial, "
+                             f"got {self.trials}")
 
     @staticmethod
     def exhaustive():
@@ -66,6 +74,7 @@ class CheckReport:
     passed: bool = True
     violations: list = field(default_factory=list)
     checked: int = 0
+    mode: CheckMode = None
 
     def fail(self, axiom, witness, lhs, rhs):
         self.passed = False
@@ -81,3 +90,39 @@ class CheckReport:
 
     def first(self):
         return self.violations[0] if self.violations else None
+
+
+def certify(mode, dim, exhaustive, trial, prelude=(), cap=EXHAUSTIVE_DIM_CAP,
+            trials=DEFAULT_TRIALS, seed=0):
+    """Run one certificate under the mode policy; return its report.
+
+    Without a `mode` the check is exhaustive when `dim` <= `cap` (32 for
+    algebra axioms, MORPHISM_DIM_CAP = 81 for morphism and module pair
+    checks), else `trials` seeded random trials; a random mode has at
+    least one trial.  Trial coordinates come from `field.random`: integers
+    in [-10**6, 10**6] over Q, uniform residues over F_p.  So a violated
+    identity of total degree d escapes one trial with probability at most
+    d/(2*10**6 + 1) over Q and d/p over F_p (Schwartz-Zippel).
+
+    `exhaustive()` and `trial(rng, t)` yield (count, axiom, witness, lhs,
+    rhs); the items of `prelude` come first in either mode.  Each item
+    adds `count` to `checked` and is compared before the next is computed;
+    the first lhs != rhs is the violation and ends the check.  The mode
+    used is kept in `report.mode`.
+    """
+    if mode is None:
+        mode = CheckMode.auto(dim, cap=cap, trials=trials, seed=seed)
+    if mode.kind == "exhaustive":
+        items = exhaustive()
+    else:
+        rng = random.Random(mode.seed)
+        items = (item for t in range(mode.trials) for item in trial(rng, t))
+    report = CheckReport(mode=mode)
+    checked = 0
+    for count, axiom, witness, lhs, rhs in itertools.chain(prelude, items):
+        checked += count
+        if lhs != rhs:
+            report.fail(axiom, witness, lhs, rhs)
+            break
+    report.checked = checked
+    return report

@@ -221,3 +221,18 @@ def test_coalgebra_check_catches_broken_coassociativity(cyclic2):
                        list(coa.counit))
     rep = check_coalgebra_axioms(broken)
     assert not rep.passed
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_random_mode_needs_a_trial(trials):
+    with pytest.raises(ValueError):
+        CheckMode.random(trials=trials)
+
+
+def test_report_records_the_mode_used(cyclic2):
+    rep = check_algebra_axioms(cyclic2.algebra)
+    assert rep.mode == CheckMode.exhaustive()
+    assert rep.checked == 2 + 2 ** 3
+    mode = CheckMode.random(trials=3, seed=5)
+    rep = check_algebra_axioms(cyclic2.algebra, mode)
+    assert rep.mode == mode and rep.checked == 3

@@ -189,3 +189,63 @@ def test_semisimple_rejects_prime_field(tmp_path):
 def test_missing_file_is_input_error():
     r = run_cli(["check", "/nonexistent/nowhere.json"])
     assert r.returncode == 2
+
+
+GOLDEN_STDOUT = {
+    ("iso", "--kind", "beta"): """\
+input hopf axioms: pass (18 checks)
+kind: beta (X -> Z)
+input dim: 2
+product dim: 16
+morphism: pass (256 pairs)
+inverse: pass (32 rows)
+composition: pass (512 entries)
+""",
+    ("iso", "--kind", "phi", "--mode", "random:2"): """\
+input hopf axioms: pass (18 checks)
+kind: phi (X -> Y)
+input dim: 2
+product dim: 16
+morphism: pass (2 trials)
+inverse: pass (32 rows)
+""",
+    ("build", "--construction", "Z", "--mode", "random:3"): """\
+input hopf axioms: pass (18 checks)
+construction: Z
+input dim: 2
+product dim: 16
+unit + associativity (random, 3 trials): pass (3 checks)
+""",
+    ("bimodule", "--module", "regular"): """\
+input hopf axioms: pass (18 checks)
+module: regular (dim 2)
+hopf bimodule axioms: pass (50 checks)
+X module axiom: pass (514 checks)
+Y module axiom: pass (514 checks)
+Z module axiom: pass (514 checks)
+left_smash module axiom: pass (130 checks)
+right_smash module axiom: pass (130 checks)
+action correspondences (phi, alpha, beta): pass (32 checks)
+triple roundtrip: pass (602 checks)
+diagonal condition: pass (546 checks)
+f correspondence: pass (32 checks)
+""",
+}
+
+
+def test_stdout_is_pinned(cyclic2_file):
+    for args, expected in GOLDEN_STDOUT.items():
+        r = run_cli([*args, "--input", str(cyclic2_file)])
+        assert r.returncode == 0, (args, r.stderr)
+        assert r.stdout == expected, args
+
+
+@pytest.mark.parametrize("mode", ["random:0", "random:-3", "random:x"])
+@pytest.mark.parametrize("command", [
+    ["check"], ["build", "--construction", "Z", "--input"],
+    ["iso", "--kind", "phi", "--input"]])
+def test_bad_mode_is_input_error(cyclic2_file, command, mode):
+    r = run_cli([*command, str(cyclic2_file), "--mode", mode])
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert repr(mode) in r.stderr
