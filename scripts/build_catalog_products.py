@@ -14,7 +14,7 @@ from hopfcross.algebra import trace_form_radical
 from hopfcross.catalog import catalog_named
 from hopfcross.crossed import (StandardTriple, build_xyz, check_handle_axioms,
                                materialize)
-from hopfcross.report import CheckMode
+from hopfcross.report import CheckMode, MORPHISM_DIM_CAP
 
 ENTRIES = ("cyclic:2", "cyclic:3", "dual_cyclic:2", "sweedler4", "taft:2:5")
 
@@ -33,8 +33,8 @@ def main():
               f"products dim {hopf.dim ** 4})")
         for which in ("X", "Y", "Z"):
             handle = build_xyz(hopf, which, setup)
-            mode = CheckMode.auto(handle.dim, cap=81, trials=args.trials,
-                                  seed=args.seed)
+            mode = CheckMode.auto(handle.dim, cap=MORPHISM_DIM_CAP,
+                                  trials=args.trials, seed=args.seed)
             start = time.time()
             report = check_handle_axioms(handle, mode)
             status = "pass" if report.passed else "FAIL"
@@ -42,8 +42,8 @@ def main():
                   f"({mode.kind}, {report.checked} checks, "
                   f"{time.time() - start:.2f}s)")
             if which == "Z" and hopf.field.characteristic == 0 \
-                    and handle.dim <= 81:
-                alg = materialize(handle, cap=81)
+                    and handle.dim <= MORPHISM_DIM_CAP:
+                alg = materialize(handle, cap=MORPHISM_DIM_CAP)
                 radical = trace_form_radical(alg)
                 print(f"   Z radical dimension over Q: {len(radical)}")
 

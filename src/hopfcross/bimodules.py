@@ -22,10 +22,11 @@ from .actions import (ActionData, CoactionData, bicomodule_legs,
                       bicomodule_to_module, check_bicomodule_coherence,
                       check_coaction_axioms, check_module_axioms)
 from .algebra import random_dense_vector
-from .crossed import StandardTriple, diagonal_crossed, two_sided_crossed
+from .crossed import (LAYOUTS, StandardTriple, diagonal_crossed,
+                      two_sided_crossed)
 from .errors import DimensionMismatchError
 from .isos import build_iso
-from .linalg import sv_canon, sv_from_list
+from .linalg import sv_add_into, sv_canon, sv_from_list
 from .report import CheckReport, MORPHISM_DIM_CAP, certify
 
 
@@ -85,74 +86,35 @@ def check_hopf_bimodule(module, hopf):
     if not report.passed:
         return report
 
-    # the four compatibilities, as elements of D (x) M or M (x) D
+    # the four compatibilities, as elements of D (x) M or M (x) D: the
+    # coaction of p.m or m.p against sum (leg x times m's coaction leg c,
+    # in that order or the reverse) (x) (the other leg y acting on m(0))
     dmul = dual.algebra.mul_basis
+    compat = (
+        ("compat-left-coaction-left-action", module.left_co, la, 0, True),
+        ("compat-right-coaction-left-action", module.right_co, la, 1, True),
+        ("compat-left-coaction-right-action", module.left_co, ra, 0, False),
+        ("compat-right-coaction-right-action", module.right_co, ra, 1, False))
     for p in range(n):
         for j in range(m_dim):
-            # lambda(p.m) vs sum p1 m(-1) (x) p2.m(0)
-            lhs = {}
-            for c, k, w in _co_of_sv(module.left_co, la.act_basis(p, j)):
-                lhs[(c, k)] = lhs.get((c, k), 0) + w
-            rhs = {}
-            for p1, p2, cp in dual.coalgebra.delta(p):
-                for c, k, w in module.left_co.legs(j):
-                    for c2, cc in dmul(p1, c).items():
-                        for k2, ck in la.act_basis(p2, k).items():
-                            key = (c2, k2)
-                            rhs[key] = rhs.get(key, 0) + cp * w * cc * ck
-            report.checked += 1
-            if sv_canon(field, lhs) != sv_canon(field, rhs):
-                report.fail("compat-left-coaction-left-action", (p, j),
-                            sv_canon(field, lhs), sv_canon(field, rhs))
-                return report
-            # rho(p.m) vs sum p1.m(0) (x) p2 m(1)
-            lhs = {}
-            for c, k, w in _co_of_sv(module.right_co, la.act_basis(p, j)):
-                lhs[(c, k)] = lhs.get((c, k), 0) + w
-            rhs = {}
-            for p1, p2, cp in dual.coalgebra.delta(p):
-                for c, k, w in module.right_co.legs(j):
-                    for c2, cc in dmul(p2, c).items():
-                        for k2, ck in la.act_basis(p1, k).items():
-                            key = (c2, k2)
-                            rhs[key] = rhs.get(key, 0) + cp * w * cc * ck
-            report.checked += 1
-            if sv_canon(field, lhs) != sv_canon(field, rhs):
-                report.fail("compat-right-coaction-left-action", (p, j),
-                            sv_canon(field, lhs), sv_canon(field, rhs))
-                return report
-            # lambda(m.q) vs sum m(-1) q1 (x) m(0).q2
-            lhs = {}
-            for c, k, w in _co_of_sv(module.left_co, ra.act_basis(p, j)):
-                lhs[(c, k)] = lhs.get((c, k), 0) + w
-            rhs = {}
-            for q1, q2, cq in dual.coalgebra.delta(p):
-                for c, k, w in module.left_co.legs(j):
-                    for c2, cc in dmul(c, q1).items():
-                        for k2, ck in ra.act_basis(q2, k).items():
-                            key = (c2, k2)
-                            rhs[key] = rhs.get(key, 0) + cq * w * cc * ck
-            report.checked += 1
-            if sv_canon(field, lhs) != sv_canon(field, rhs):
-                report.fail("compat-left-coaction-right-action", (p, j),
-                            sv_canon(field, lhs), sv_canon(field, rhs))
-                return report
-            # rho(m.q) vs sum m(0).q1 (x) m(1) q2
-            lhs = {}
-            for c, k, w in _co_of_sv(module.right_co, ra.act_basis(p, j)):
-                lhs[(c, k)] = lhs.get((c, k), 0) + w
-            rhs = {}
-            for q1, q2, cq in dual.coalgebra.delta(p):
-                for c, k, w in module.right_co.legs(j):
-                    for c2, cc in dmul(c, q2).items():
-                        for k2, ck in ra.act_basis(q1, k).items():
-                            key = (c2, k2)
-                            rhs[key] = rhs.get(key, 0) + cq * w * cc * ck
-            report.checked += 1
-            if sv_canon(field, lhs) != sv_canon(field, rhs):
-                report.fail("compat-right-coaction-right-action", (p, j),
-                            sv_canon(field, lhs), sv_canon(field, rhs))
-                return report
+            for axiom, co, act, x_leg, x_first in compat:
+                lhs = {}
+                for c, k, w in _co_of_sv(co, act.act_basis(p, j)):
+                    lhs[(c, k)] = lhs.get((c, k), 0) + w
+                rhs = {}
+                for *legs, cp in dual.coalgebra.delta(p):
+                    x, y = legs[x_leg], legs[1 - x_leg]
+                    for c, k, w in co.legs(j):
+                        prod = dmul(x, c) if x_first else dmul(c, x)
+                        for c2, cc in prod.items():
+                            for k2, ck in act.act_basis(y, k).items():
+                                key = (c2, k2)
+                                rhs[key] = rhs.get(key, 0) + cp * w * cc * ck
+                lhs, rhs = sv_canon(field, lhs), sv_canon(field, rhs)
+                report.checked += 1
+                if lhs != rhs:
+                    report.fail(axiom, (p, j), lhs, rhs)
+                    return report
     return report
 
 
@@ -235,22 +197,38 @@ def example_bimodule(hopf, kind, v_dim=1):
 # ---------------------------------------------------------------------------
 # derived module structures
 
-def _legs_by_evaluation(module):
-    """Per basis element: (right leg value, left leg value) -> [(mid, w)]."""
+# which: (coproduct legs of kappa = h (x) g, p move, q move, leg evaluated
+#         on the coaction legs); a move is None or (moves rule, leg).
+DERIVED_SPECS = {
+    "X": (3, ("L", 0), ("L", 2), 1),
+    "Y": (2, None, ("L", 1), 0),
+    "Z": (1, None, None, 0),
+    "left_smash": (1, None, None, 0),
+    "right_smash": (2, None, ("L", 1), 0),
+}
+
+
+def _legs_by_evaluation(module, n):
+    """Per basis element: kappa = (right leg, left leg) -> [(mid, w)]."""
     table = []
     for j in range(module.space_dim):
         by_eval = {}
         for cl, k, cr, w in bicomodule_legs(module.left_co, module.right_co, j):
-            by_eval.setdefault((cr, cl), []).append((k, w))
+            by_eval.setdefault(cr * n + cl, []).append((k, w))
         table.append(by_eval)
     return table
+
+
+def _unmoved(actor_sv, space_sv):
+    return space_sv
 
 
 def derived_action(module, hopf, which, setup=None):
     """The left action of X, Y, Z or one of the smash halves on the module.
 
     All five come from evaluating coaction legs against grouplike slots
-    and sandwiching with arrow-twisted bimodule actions:
+    and sandwiching with arrow-twisted bimodule actions, one row of
+    `DERIVED_SPECS` each:
 
       X: ((g (x) h) (x) (p (x) q)).m
            = sum m(-1)(g2) m(1)(h2) (h1->p<-g1).m(0).(h3->q<-g3)
@@ -260,119 +238,33 @@ def derived_action(module, hopf, which, setup=None):
       left smash  (p # (h (x) g)).m = sum m(-1)(g) m(1)(h) p.m(0)
       right smash ((h (x) g) # q).m = sum m(-1)(g1) m(1)(h1) m(0).(h2->q<-g2)
     """
+    if which not in DERIVED_SPECS:
+        raise ValueError(f"unknown derived action {which!r}")
     if setup is None:
         setup = StandardTriple(hopf)
     n = setup.n
     field = setup.field
     one = field.one
-    delta = hopf.coalgebra.delta
-    delta2 = hopf.coalgebra.delta2
-    la, ra = module.left_act, module.right_act
-    legs = _legs_by_evaluation(module)
+    layout = LAYOUTS[which]
+    at = setup.strides(layout)
+    act_p = module.left_act.act_sv if "p" in layout else _unmoved
+    act_q = module.right_act.act_sv if "q" in layout else _unmoved
+    legs = _legs_by_evaluation(module, n)
     m_dim = module.space_dim
     tensor = {}
-
-    def put(actor, j, sv):
-        if sv:
-            tensor[(actor, j)] = sv
-
-    if which == "Z":
-        for p in range(n):
-            for q in range(n):
-                base = (p * n + q) * n
-                for h in range(n):
-                    for g in range(n):
-                        actor = (base + h) * n + g
-                        for j in range(m_dim):
-                            acc = {}
-                            for k, w in legs[j].get((h, g), ()):
-                                mid = ra.act_basis(q, k)
-                                for k2, c2 in mid.items():
-                                    for k3, c3 in la.act_basis(p, k2).items():
-                                        acc[k3] = acc.get(k3, 0) + w * c2 * c3
-                            put(actor, j, sv_canon(field, acc))
-    elif which == "Y":
-        for p in range(n):
-            for h in range(n):
-                dh = delta(h)
-                for g in range(n):
-                    dg = delta(g)
-                    for q in range(n):
-                        actor = ((p * n + h) * n + g) * n + q
-                        for j in range(m_dim):
-                            acc = {}
-                            for h1, h2, ch in dh:
-                                for g1, g2, cg in dg:
-                                    hits = legs[j].get((h1, g1))
-                                    if not hits:
-                                        continue
-                                    qv = setup.arrow_basis(h2, q, g2)
-                                    w0 = ch * cg
-                                    for k, w in hits:
-                                        mid = ra.act_sv(qv, {k: one})
-                                        for k2, c2 in mid.items():
-                                            for k3, c3 in la.act_basis(p, k2).items():
-                                                acc[k3] = acc.get(k3, 0) + w0 * w * c2 * c3
-                            put(actor, j, sv_canon(field, acc))
-    elif which == "X":
-        for g in range(n):
-            d2g = delta2(g)
-            for h in range(n):
-                d2h = delta2(h)
-                for p in range(n):
-                    for q in range(n):
-                        actor = ((g * n + h) * n + p) * n + q
-                        for j in range(m_dim):
-                            acc = {}
-                            for h1, h2, h3, ch in d2h:
-                                for g1, g2, g3, cg in d2g:
-                                    hits = legs[j].get((h2, g2))
-                                    if not hits:
-                                        continue
-                                    pv = setup.arrow_basis(h1, p, g1)
-                                    qv = setup.arrow_basis(h3, q, g3)
-                                    w0 = ch * cg
-                                    for k, w in hits:
-                                        mid = ra.act_sv(qv, {k: one})
-                                        out = la.act_sv(pv, mid)
-                                        for k3, c3 in out.items():
-                                            acc[k3] = acc.get(k3, 0) + w0 * w * c3
-                            put(actor, j, sv_canon(field, acc))
-    elif which == "left_smash":
-        for p in range(n):
-            for h in range(n):
-                for g in range(n):
-                    actor = (p * n + h) * n + g
-                    for j in range(m_dim):
-                        acc = {}
-                        for k, w in legs[j].get((h, g), ()):
-                            for k3, c3 in la.act_basis(p, k).items():
-                                acc[k3] = acc.get(k3, 0) + w * c3
-                        put(actor, j, sv_canon(field, acc))
-    elif which == "right_smash":
-        for h in range(n):
-            dh = delta(h)
-            for g in range(n):
-                dg = delta(g)
-                for q in range(n):
-                    actor = (h * n + g) * n + q
-                    for j in range(m_dim):
-                        acc = {}
-                        for h1, h2, ch in dh:
-                            for g1, g2, cg in dg:
-                                hits = legs[j].get((h1, g1))
-                                if not hits:
-                                    continue
-                                qv = setup.arrow_basis(h2, q, g2)
-                                w0 = ch * cg
-                                for k, w in hits:
-                                    for k2, c2 in ra.act_sv(qv, {k: one}).items():
-                                        acc[k2] = acc.get(k2, 0) + w0 * w * c2
-                        put(actor, j, sv_canon(field, acc))
-    else:
-        raise ValueError(f"unknown derived action {which!r}")
-    actor_dim = n ** 4 if which in ("X", "Y", "Z") else n ** 3
-    return ActionData(field, actor_dim, m_dim, "left", tensor)
+    for p, kappa, q, terms in setup.slot_terms(DERIVED_SPECS[which], layout):
+        h, g = divmod(kappa, n)
+        actor = (h * at["h"] + g * at["g"] + p * at.get("p", 0)
+                 + q * at.get("q", 0))
+        for j in range(m_dim):
+            acc = {}
+            for c, pv, leg, qv in terms:
+                for k, w in legs[j].get(leg, ()):
+                    sv_add_into(acc, act_p(pv, act_q(qv, {k: one})), c * w)
+            sv = sv_canon(field, acc)
+            if sv:
+                tensor[(actor, j)] = sv
+    return ActionData(field, n ** len(layout), m_dim, "left", tensor)
 
 
 def check_module_over_handle(handle, act, mode=None):

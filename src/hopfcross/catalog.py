@@ -39,6 +39,9 @@ def parse_catalog_spec(text, field=None):
     name, args = parts[0], parts[1:]
     if name not in CATALOG_NAMES:
         raise ValueError(f"unknown catalog entry {name!r}")
+    if not all(a.isdigit() for a in args):
+        raise ValueError(f"{name} parameters must be non-negative "
+                         f"integers, got {args}")
     if name in ("cyclic", "dual_cyclic"):
         if len(args) != 1:
             raise ValueError(f"{name} takes one parameter, e.g. {name}:3")

@@ -28,7 +28,7 @@ from .hopf_json import (algebra_to_json, field_to_json, load_document,
                         save_document)
 from .isos import (build_iso, composition_identity, verify_algebra_morphism,
                    verify_mutually_inverse)
-from .report import CheckMode, MORPHISM_DIM_CAP
+from .report import CheckMode
 
 DEFAULT_CAP = 64
 
@@ -38,8 +38,10 @@ ISO_ROUTES = {
 
 
 def _parse_mode(text, seed):
+    """--mode as a CheckMode; without one, the mode `certify` picks by
+    dimension, seeded with --seed."""
     if text is None:
-        return None
+        return CheckMode.deferred(seed)
     if text == "exhaustive":
         return CheckMode.exhaustive()
     if text == "random":
@@ -59,7 +61,29 @@ def _parse_field(text):
         return None          # let the catalog pick its default
     if text == "Q":
         return QQ
-    return PrimeField(int(text))
+    try:
+        return PrimeField(int(text))
+    except ValueError:
+        raise FormatError(
+            f"bad --field {text!r}, want Q or a prime p") from None
+
+
+def _parse_catalog(text, field):
+    try:
+        return parse_catalog_spec(text, field)
+    except ValueError as exc:
+        raise FormatError(f"bad --catalog {text!r}: {exc}") from None
+
+
+def _parse_module(text):
+    """--module as (kind, v_dim): regular, or free:N with N >= 1."""
+    if text == "regular":
+        return "regular", 1
+    kind, _, count = text.partition(":")
+    if kind == "free" and count.isdigit() and int(count) >= 1:
+        return "free", int(count)
+    raise FormatError(f"bad --module {text!r}, want regular or free:N "
+                      f"with N >= 1")
 
 
 def _emit(line):
@@ -79,8 +103,6 @@ def cmd_check(args):
     doc = load_document(args.file)
     field = doc.field
     mode = _parse_mode(args.mode, args.seed)
-    if mode is None:
-        mode = CheckMode.auto(doc.algebra.dim, seed=args.seed)
     _emit(f"file: {args.file}")
     _emit(f"kind: {doc.kind}")
     _emit(f"field: {field}")
@@ -123,15 +145,14 @@ def cmd_check(args):
 
 
 def cmd_describe(args):
-    spec = parse_catalog_spec(args.catalog, _parse_field(args.field))
+    spec = _parse_catalog(args.catalog, _parse_field(args.field))
     hopf = catalog_hopf(spec, verify=False)
     _emit(f"catalog: {spec}")
     _emit(f"field: {hopf.field}")
     _emit(f"dim: {hopf.dim}")
     _emit("basis: " + ", ".join(hopf.basis_labels))
-    mode = CheckMode.auto(hopf.dim, seed=args.seed)
-    if not _report_line("hopf axioms", check_hopf_axioms(hopf, mode),
-                        hopf.field):
+    if not _report_line("hopf axioms", check_hopf_axioms(
+            hopf, CheckMode.deferred(args.seed)), hopf.field):
         return 1
     return 0
 
@@ -158,17 +179,14 @@ def cmd_build(args):
     hopf = doc.hopf
     field = hopf.field
     hmode = _parse_mode(args.mode, args.seed)
-    mode = CheckMode.auto(hopf.dim, seed=args.seed)
-    if not _report_line("input hopf axioms", check_hopf_axioms(hopf, mode),
-                        field):
+    if not _report_line("input hopf axioms", check_hopf_axioms(
+            hopf, CheckMode.deferred(args.seed)), field):
         return 1
     setup = StandardTriple(hopf)
     handle = _build_handle(args.construction, hopf, setup)
     _emit(f"construction: {args.construction}")
     _emit(f"input dim: {hopf.dim}")
     _emit(f"product dim: {handle.dim}")
-    if hmode is None:
-        hmode = CheckMode.auto(handle.dim, seed=args.seed)
     rep = check_handle_axioms(handle, hmode)
     label = ("unit + associativity (exhaustive)"
              if rep.mode.kind == "exhaustive"
@@ -203,9 +221,8 @@ def cmd_iso(args):
     hopf = doc.hopf
     field = hopf.field
     vmode = _parse_mode(args.mode, args.seed)
-    mode = CheckMode.auto(hopf.dim, seed=args.seed)
-    if not _report_line("input hopf axioms", check_hopf_axioms(hopf, mode),
-                        field):
+    if not _report_line("input hopf axioms", check_hopf_axioms(
+            hopf, CheckMode.deferred(args.seed)), field):
         return 1
     setup = StandardTriple(hopf)
     src_name, dst_name = ISO_ROUTES[args.kind]
@@ -216,8 +233,7 @@ def cmd_iso(args):
     _emit(f"kind: {args.kind} ({src_name} -> {dst_name})")
     _emit(f"input dim: {hopf.dim}")
     _emit(f"product dim: {src.dim}")
-    rep = verify_algebra_morphism(forward, src, dst, mode=vmode,
-                                  seed=args.seed)
+    rep = verify_algebra_morphism(forward, src, dst, mode=vmode)
     unit = "pairs" if rep.mode.kind == "exhaustive" else "trials"
     if not _report_line("morphism", rep, field, unit=unit):
         return 1
@@ -248,19 +264,14 @@ def cmd_bimodule(args):
         raise FormatError("bimodule needs a full Hopf algebra document")
     hopf = doc.hopf
     field = hopf.field
-    mode = CheckMode.auto(hopf.dim, seed=args.seed)
+    kind, v_dim = _parse_module(args.module)
+    mode = CheckMode.deferred(args.seed)
     if not _report_line("input hopf axioms", check_hopf_axioms(hopf, mode),
                         field):
         return 1
-    if args.module == "regular":
-        module = example_bimodule(hopf, "regular")
-        _emit(f"module: regular (dim {module.space_dim})")
-    elif args.module.startswith("free:"):
-        v_dim = int(args.module.split(":", 1)[1])
-        module = example_bimodule(hopf, "free", v_dim)
-        _emit(f"module: free:{v_dim} (dim {module.space_dim})")
-    else:
-        raise FormatError(f"bad module {args.module!r}, want regular or free:N")
+    module = example_bimodule(hopf, kind, v_dim)
+    label = kind if kind == "regular" else f"free:{v_dim}"
+    _emit(f"module: {label} (dim {module.space_dim})")
     setup = StandardTriple(hopf)
     if not _report_line("hopf bimodule axioms",
                         check_hopf_bimodule(module, hopf), field):
@@ -271,20 +282,17 @@ def cmd_bimodule(args):
     handles["right_smash"] = rs
     for which in ("X", "Y", "Z", "left_smash", "right_smash"):
         act = derived_action(module, hopf, which, setup)
-        rep = check_module_over_handle(handles[which], act, CheckMode.auto(
-            handles[which].dim, cap=MORPHISM_DIM_CAP, seed=args.seed))
+        rep = check_module_over_handle(handles[which], act, mode)
         if not _report_line(f"{which} module axiom", rep, field):
             return 1
-    rep = verify_action_correspondence(module, hopf, setup, seed=args.seed)
+    rep = verify_action_correspondence(module, hopf, setup, mode)
     if not _report_line("action correspondences (phi, alpha, beta)", rep,
                         field):
         return 1
     triple = triple_from_bimodule(module, hopf, setup)
-    product_mode = CheckMode.auto(setup.n ** 4, cap=MORPHISM_DIM_CAP,
-                                  seed=args.seed)
     rep = triple_module_roundtrip(
         triple, setup.dual.algebra, setup.K, setup.dual_op_alg,
-        setup.act_on_dual, setup.act_on_dual_op, product_mode)
+        setup.act_on_dual, setup.act_on_dual_op, mode)
     if not _report_line("triple roundtrip", rep, field):
         return 1
     from .actions import ActionData
@@ -300,10 +308,10 @@ def cmd_bimodule(args):
     c_act = ActionData(field, n * n, module.space_dim, "left", c_tensor)
     rep = diagonal_module_condition(
         c_act, triple.h_act, setup.C, setup.K, setup.act_left_C,
-        setup.act_right_C, product_mode)
+        setup.act_right_C, mode)
     if not _report_line("diagonal condition", rep, field):
         return 1
-    rep = verify_f_correspondence(triple, module, hopf, setup, product_mode)
+    rep = verify_f_correspondence(triple, module, hopf, setup, mode)
     if not _report_line("f correspondence", rep, field):
         return 1
     return 0

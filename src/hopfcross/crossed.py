@@ -1,38 +1,53 @@
 """Crossed-product algebra builders, exposed as lazy multiplication oracles.
 
-Every product algebra here lives on a tensor-product basis, flattened
-left-major, and is represented by an AlgebraHandle: a bilinear oracle on
-coefficient vectors plus an optional materialization.  Basis-pair
-products are cached the first time they are asked for (as flat
-[k1, c1, k2, c2, ...] lists), so exhaustive checks and repeated oracle
-products cost one expansion per pair; iterated coproducts are cached on
-the coalgebras themselves.
+Every product algebra here is a twisted tensor product A (x)_R B: the
+space A (x) B, flattened left-major, with the product
 
-The slot conventions follow the displayed multiplication rules:
+  (a (x) b)(a' (x) b') = sum a a'' (x) b'' b',  R(b (x) a') = sum a'' (x) b''
 
-* left smash  A # H:   (a # h)(b # g)   = sum a (h1.b) # h2 g
-* right smash H # B:   (h # a)(g # b)   = sum h g1 # (a.g2) b
-* two-sided   A # H # B:
-  (a # h # b)(a' # h' # b') = sum a (h1.a') # h2 h'1 # (b.h'2) b'
-* diagonal    C >< H:  (c >< h)(c' >< h') = sum c (h1.c'.S^-1(h3)) >< h2 h'
+for a twisting map R: B (x) A -> A (x) B.  `twisted_tensor` is the one
+builder; each construction only names its factors and its R:
+
+* left smash  A # H = A (x)_R H,  R(h (x) b) = sum h1.b (x) h2:
+    (a # h)(b # g)   = sum a (h1.b) # h2 g
+* right smash H # B = H (x)_R B,  R(a (x) g) = sum g1 (x) a.g2:
+    (h # a)(g # b)   = sum h g1 # (a.g2) b
+* two-sided   A # H # B = (A # H) (x)_R B,  R(b (x) a#h) = sum a#h1 (x) b.h2:
+    (a # h # b)(a' # h' # b') = sum a (h1.a') # h2 h'1 # (b.h'2) b'
+* diagonal    C >< H = C (x)_R H,  R(h (x) c) = sum h1.c.S^-1(h3) (x) h2:
+    (c >< h)(c' >< h') = sum c (h1.c'.S^-1(h3)) >< h2 h'
 
 and the dedicated four-slot algebras built from a Hopf algebra H with
 dual D and K = H (x) H^op:
 
 * Y = D # K # D^op on (p, h, g, q)-slots, via the two-sided builder;
 * Z = (D (x) D^op) >< K on (p, q, h, g)-slots, via the diagonal builder;
-* X on (g, h, p, q)-slots, where the first two and last two slots keep
-  their natural (H^op (x) H and D (x) D^op) products and
-  ((1(x)1)(x)(p(x)q)) ((g(x)h)(x)(1(x)1)) straightens to
+* X = (H^op (x) H) (x)_R (D (x) D^op) on (g, h, p, q)-slots, whose R
+  straightens ((1(x)1)(x)(p(x)q)) ((g(x)h)(x)(1(x)1)) to
   sum (g2 (x) h2) (x) (S^-1(h1)->p<-S(g1) (x) S(h3)->q<-S^-1(g3)).
+
+Basis-pair products are cached the first time they are asked for (as
+flat [k1, c1, k2, c2, ...] lists), and R is evaluated once per basis pair
+(b, a'), so exhaustive checks and repeated oracle products cost one
+expansion per pair; iterated coproducts are cached on the coalgebras.
+
+The maps between X, Y and Z and the module actions on Hopf bimodules
+move the dual slots p and q by the same regular arrows.  A slot rule
+names how many coproduct legs of kappa = h (x) g in K to take, which
+`StandardTriple.moves` table moves p and q by which leg, and which leg
+is kept in the K slot; `StandardTriple.expand` evaluates one rule.
 """
 
 from .algebra import (AlgebraData, check_unit_and_associativity, dual_hopf,
-                      op_algebra, tensor_hopf, variant)
+                      op_algebra, tensor_algebra, tensor_hopf, variant)
 from .actions import (ActionData, build_bimodule_algebra,
                       check_bimodule_algebra, check_module_algebra)
 from .errors import CapExceededError, UnverifiedActionError
-from .linalg import sv_canon, sv_tensor, unflatten_index
+from .linalg import sv_canon, sv_tensor
+
+# Slot order of each four- and three-slot algebra: p, q over D, h, g over H.
+LAYOUTS = {"X": "ghpq", "Y": "phgq", "Z": "pqhg",
+           "left_smash": "phg", "right_smash": "hgq"}
 
 
 class AlgebraHandle:
@@ -150,168 +165,147 @@ def check_handle_axioms(handle, mode=None):
 
 
 # ---------------------------------------------------------------------------
-# generic builders
+# the twisted tensor product and the generic builders
+
+def add_tensor(acc, x, y, dim_y, c):
+    """acc += c * (x (x) y) on the left-major flattened basis."""
+    for s, cs in x.items():
+        base = s * dim_y
+        w = c * cs
+        for t, ct in y.items():
+            key = base + t
+            acc[key] = acc.get(key, 0) + w * ct
+
+
+def twisted_tensor(field, a_mul, b_mul, db, twist, factor_dims, labels, unit,
+                   provenance):
+    """A (x)_R B, with `twist(b, a')` = R(b (x) a') on the flattened basis.
+
+    `a_mul` and `b_mul` are the basis products of A and B, and `db` is
+    dim B.  R is evaluated once per basis pair (b, a'); the results are
+    kept on the handle as `twists`.
+    """
+    twists = {}
+
+    def pair(i, j):
+        a, b = divmod(i, db)
+        a2, b2 = divmod(j, db)
+        terms = twists.get((b, a2))
+        if terms is None:
+            terms = [(*divmod(k, db), c)
+                     for k, c in sv_canon(field, twist(b, a2)).items()]
+            twists[(b, a2)] = terms
+        acc = {}
+        for a3, b3, c in terms:
+            first = a_mul(a, a3)
+            if first:
+                add_tensor(acc, first, b_mul(b3, b2), db, c)
+        return sv_canon(field, acc)
+
+    handle = AlgebraHandle(field, factor_dims, labels, unit, pair, provenance)
+    handle.twists = twists
+    return handle
+
+
+def _require(rep, message):
+    if not rep.passed:
+        raise UnverifiedActionError(message, rep)
+
 
 def left_smash(a_alg, hopf, act, verify=True, provenance="left_smash"):
     """A # H for a left H-module algebra A."""
     if verify:
-        rep = check_module_algebra("left", hopf, a_alg, act)
-        if not rep.passed:
-            raise UnverifiedActionError("left smash needs a module algebra", rep)
+        _require(check_module_algebra("left", hopf, a_alg, act),
+                 "left smash needs a module algebra")
     field = a_alg.field
     da, dh = a_alg.dim, hopf.dim
-    one = field.one
     delta = hopf.coalgebra.delta
-    hmul = hopf.algebra.mul_basis
 
-    def pair(i, j):
-        a, h = divmod(i, dh)
-        b, g = divmod(j, dh)
+    def twist(h, b):
         acc = {}
         for h1, h2, c in delta(h):
-            first = a_alg.mul_sv({a: one}, act.act_basis(h1, b))
-            if not first:
-                continue
-            second = hmul(h2, g)
-            for t1, c1 in first.items():
-                base = t1 * dh
-                cc1 = c * c1
-                for t2, c2 in second.items():
-                    key = base + t2
-                    acc[key] = acc.get(key, 0) + cc1 * c2
-        return sv_canon(field, acc)
+            add_tensor(acc, act.act_basis(h1, b), {h2: c}, dh, 1)
+        return acc
 
     labels = [f"{la}#{lh}" for la in a_alg.basis_labels
               for lh in hopf.basis_labels]
     unit = sv_tensor(field, [a_alg.unit_sv(), hopf.algebra.unit_sv()], [da, dh])
-    return AlgebraHandle(field, (da, dh), labels, unit, pair, provenance)
+    return twisted_tensor(field, a_alg.mul_basis, hopf.algebra.mul_basis, dh,
+                          twist, (da, dh), labels, unit, provenance)
 
 
 def right_smash(hopf, b_alg, act, verify=True, provenance="right_smash"):
     """H # B for a right H-module algebra B."""
     if verify:
-        rep = check_module_algebra("right", hopf, b_alg, act)
-        if not rep.passed:
-            raise UnverifiedActionError("right smash needs a module algebra", rep)
+        _require(check_module_algebra("right", hopf, b_alg, act),
+                 "right smash needs a module algebra")
     field = b_alg.field
     dh, db = hopf.dim, b_alg.dim
-    one = field.one
     delta = hopf.coalgebra.delta
-    hmul = hopf.algebra.mul_basis
 
-    def pair(i, j):
-        h, a = divmod(i, db)
-        g, b = divmod(j, db)
+    def twist(a, g):
         acc = {}
         for g1, g2, c in delta(g):
-            first = hmul(h, g1)
-            if not first:
-                continue
-            second = b_alg.mul_sv(act.act_basis(g2, a), {b: one})
-            for t1, c1 in first.items():
-                base = t1 * db
-                cc1 = c * c1
-                for t2, c2 in second.items():
-                    key = base + t2
-                    acc[key] = acc.get(key, 0) + cc1 * c2
-        return sv_canon(field, acc)
+            add_tensor(acc, {g1: c}, act.act_basis(g2, a), db, 1)
+        return acc
 
     labels = [f"{lh}#{lb}" for lh in hopf.basis_labels
               for lb in b_alg.basis_labels]
     unit = sv_tensor(field, [hopf.algebra.unit_sv(), b_alg.unit_sv()], [dh, db])
-    return AlgebraHandle(field, (dh, db), labels, unit, pair, provenance)
+    return twisted_tensor(field, hopf.algebra.mul_basis, b_alg.mul_basis, db,
+                          twist, (dh, db), labels, unit, provenance)
 
 
 def two_sided_crossed(a_alg, hopf, b_alg, act_left, act_right, verify=True,
                       provenance="two_sided"):
     """A # H # B combining a left action on A and a right action on B."""
     if verify:
-        rep = check_module_algebra("left", hopf, a_alg, act_left)
-        if not rep.passed:
-            raise UnverifiedActionError("left factor fails its axioms", rep)
-        rep = check_module_algebra("right", hopf, b_alg, act_right)
-        if not rep.passed:
-            raise UnverifiedActionError("right factor fails its axioms", rep)
+        _require(check_module_algebra("left", hopf, a_alg, act_left),
+                 "left factor fails its axioms")
+        _require(check_module_algebra("right", hopf, b_alg, act_right),
+                 "right factor fails its axioms")
     field = a_alg.field
     da, dh, db = a_alg.dim, hopf.dim, b_alg.dim
-    one = field.one
     delta = hopf.coalgebra.delta
-    hmul = hopf.algebra.mul_basis
+    left = left_smash(a_alg, hopf, act_left, verify=False)
 
-    def pair(i, j):
-        a, rest = divmod(i, dh * db)
-        h, b = divmod(rest, db)
-        a2, rest = divmod(j, dh * db)
-        h2, b2 = divmod(rest, db)
+    def twist(b, ah):
+        a, h = divmod(ah, dh)
         acc = {}
-        for h_1, h_2, c in delta(h):
-            first = a_alg.mul_sv({a: one}, act_left.act_basis(h_1, a2))
-            if not first:
-                continue
-            for hp_1, hp_2, c2 in delta(h2):
-                mid = hmul(h_2, hp_1)
-                if not mid:
-                    continue
-                third = b_alg.mul_sv(act_right.act_basis(hp_2, b), {b2: one})
-                if not third:
-                    continue
-                w = c * c2
-                for t1, c_1 in first.items():
-                    base1 = t1 * dh
-                    for t2, c_2 in mid.items():
-                        base2 = (base1 + t2) * db
-                        cc = w * c_1 * c_2
-                        for t3, c_3 in third.items():
-                            key = base2 + t3
-                            acc[key] = acc.get(key, 0) + cc * c_3
-        return sv_canon(field, acc)
+        for h1, h2, c in delta(h):
+            add_tensor(acc, {a * dh + h1: c}, act_right.act_basis(h2, b), db, 1)
+        return acc
 
-    labels = [f"{la}#{lh}#{lb}" for la in a_alg.basis_labels
-              for lh in hopf.basis_labels for lb in b_alg.basis_labels]
-    unit = sv_tensor(field, [a_alg.unit_sv(), hopf.algebra.unit_sv(),
-                             b_alg.unit_sv()], [da, dh, db])
-    return AlgebraHandle(field, (da, dh, db), labels, unit, pair, provenance)
+    labels = [f"{la}#{lb}" for la in left.basis_labels
+              for lb in b_alg.basis_labels]
+    unit = sv_tensor(field, [left.unit, b_alg.unit_sv()], [da * dh, db])
+    return twisted_tensor(field, left.basis_product, b_alg.mul_basis, db,
+                          twist, (da, dh, db), labels, unit, provenance)
 
 
 def diagonal_crossed(c_alg, hopf, act_left, act_right, verify=True,
                      provenance="diagonal"):
     """C >< H for an H-bimodule algebra C, with the S^-1-twisted product."""
     if verify:
-        rep = check_bimodule_algebra(hopf, c_alg, act_left, act_right)
-        if not rep.passed:
-            raise UnverifiedActionError("C is not a bimodule algebra", rep)
+        _require(check_bimodule_algebra(hopf, c_alg, act_left, act_right),
+                 "C is not a bimodule algebra")
     field = c_alg.field
     dc, dh = c_alg.dim, hopf.dim
-    one = field.one
     delta2 = hopf.coalgebra.delta2
-    hmul = hopf.algebra.mul_basis
     s_inv_col = hopf.antipode_inv_col
 
-    def pair(i, j):
-        c, h = divmod(i, dh)
-        c2, h2 = divmod(j, dh)
+    def twist(h, c):
         acc = {}
-        for h_1, h_2, h_3, w in delta2(h):
-            mid = hmul(h_2, h2)
-            if not mid:
-                continue
-            twisted = act_right.act_sv(s_inv_col(h_3),
-                                       act_left.act_basis(h_1, c2))
-            if not twisted:
-                continue
-            first = c_alg.mul_sv({c: one}, twisted)
-            for t1, c_1 in first.items():
-                base = t1 * dh
-                cc = w * c_1
-                for t2, c_2 in mid.items():
-                    key = base + t2
-                    acc[key] = acc.get(key, 0) + cc * c_2
-        return sv_canon(field, acc)
+        for h1, h2, h3, w in delta2(h):
+            moved = act_right.act_sv(s_inv_col(h3), act_left.act_basis(h1, c))
+            add_tensor(acc, moved, {h2: w}, dh, 1)
+        return acc
 
     labels = [f"{lc}><{lh}" for lc in c_alg.basis_labels
               for lh in hopf.basis_labels]
     unit = sv_tensor(field, [c_alg.unit_sv(), hopf.algebra.unit_sv()], [dc, dh])
-    return AlgebraHandle(field, (dc, dh), labels, unit, pair, provenance)
+    return twisted_tensor(field, c_alg.mul_basis, hopf.algebra.mul_basis, dh,
+                          twist, (dc, dh), labels, unit, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +318,9 @@ class StandardTriple:
     left K-action (h (x) g).f = h -> f <- g making D a K-module algebra,
     the right K-action f.(h (x) g) = S(h) -> f <- S^-1(g) making D^op one,
     and their tensor product C = D (x) D^op, a K-bimodule algebra.
-    Arrow tables (matrices of e_u -> . <- e_v on the dual basis) are
-    cached here and shared by the product builders, the isomorphisms and
-    the module-action code.
+    Arrow tables (matrices of e_u -> . <- e_v on the dual basis) and the
+    slot-move tables are cached here and shared by the product builders,
+    the isomorphisms and the module-action code.
     """
 
     def __init__(self, hopf, verify=True):
@@ -340,6 +334,9 @@ class StandardTriple:
             self.dual.algebra,
             labels=[f"{l}~" for l in self.dual.algebra.basis_labels])
         self._arrow_mats = {}
+        self._moves = {}
+        self._coproducts = {}
+        self._rules = {}
 
         n = self.n
         field = self.field
@@ -358,16 +355,12 @@ class StandardTriple:
         self.act_on_dual = ActionData(field, n * n, n, "left", left_tensor)
         self.act_on_dual_op = ActionData(field, n * n, n, "right", right_tensor)
         if verify:
-            rep = check_module_algebra("left", self.K, self.dual.algebra,
-                                       self.act_on_dual)
-            if not rep.passed:
-                raise UnverifiedActionError(
-                    "regular arrows do not give a module algebra", rep)
-            rep = check_module_algebra("right", self.K, self.dual_op_alg,
-                                       self.act_on_dual_op)
-            if not rep.passed:
-                raise UnverifiedActionError(
-                    "twisted arrows do not give a module algebra", rep)
+            _require(check_module_algebra("left", self.K, self.dual.algebra,
+                                          self.act_on_dual),
+                     "regular arrows do not give a module algebra")
+            _require(check_module_algebra("right", self.K, self.dual_op_alg,
+                                          self.act_on_dual_op),
+                     "twisted arrows do not give a module algebra")
         self.C, self.act_left_C, self.act_right_C = build_bimodule_algebra(
             self.dual.algebra, self.act_on_dual,
             self.dual_op_alg, self.act_on_dual_op,
@@ -414,9 +407,102 @@ class StandardTriple:
                             acc[t] = acc.get(t, 0) + w * cj * c
         return sv_canon(self.field, acc)
 
+    # -- slot rules ------------------------------------------------------------
+
+    def moves(self, rule):
+        """The table (kappa, x) -> sparse dual vector of one move rule.
+
+        "L" is kappa -> x <- (the left K-action on D), "R" is
+        S(h) -> x <- S^-1(g) (the right K-action on D^op), "L~" and "R~"
+        apply S_K^-1 to kappa first, and None leaves x where it is.
+        """
+        table = self._moves.get(rule)
+        if table is None:
+            n = self.n
+            one = self.field.one
+            if rule is None:
+                table = {(kappa, x): {x: one}
+                         for kappa in range(n * n) for x in range(n)}
+            elif rule.endswith("~"):
+                act = self.act_on_dual if rule == "L~" else self.act_on_dual_op
+                table = {}
+                for kappa in range(n * n):
+                    s_inv = self.K.antipode_inv_col(kappa)
+                    for x in range(n):
+                        moved = act.act_sv(s_inv, {x: one})
+                        if moved:
+                            table[(kappa, x)] = moved
+            else:
+                act = self.act_on_dual if rule == "L" else self.act_on_dual_op
+                table = act.tensor
+            self._moves[rule] = table
+        return table
+
+    def coproduct(self, kappa, legs):
+        """The legs-fold coproduct of kappa in K: [(leg indices, coeff)]."""
+        key = (kappa, legs)
+        terms = self._coproducts.get(key)
+        if terms is None:
+            coa = self.K.coalgebra
+            if legs == 1:
+                terms = [((kappa,), self.field.one)]
+            elif legs == 2:
+                terms = [((k1, k2), c) for k1, k2, c in coa.delta(kappa)]
+            else:
+                terms = [((k1, k2, k3), c)
+                         for k1, k2, k3, c in coa.delta2(kappa)]
+            self._coproducts[key] = terms
+        return terms
+
+    def expand(self, rule, p, kappa, q):
+        """One slot rule on basis p, kappa, q: [(coeff, p', K leg, q')].
+
+        `rule` is (legs, p move, q move, K leg), a move being None or
+        (moves-table rule, leg).  Terms where a move vanishes are dropped.
+        """
+        resolved = self._rules.get(rule)
+        if resolved is None:
+            legs, p_move, q_move, k_leg = rule
+            p_rule, p_leg = p_move or (None, 0)
+            q_rule, q_leg = q_move or (None, 0)
+            resolved = (legs, self.moves(p_rule), p_leg, self.moves(q_rule),
+                        q_leg, k_leg)
+            self._rules[rule] = resolved
+        legs, p_table, p_leg, q_table, q_leg, k_leg = resolved
+        out = []
+        for leg, c in self.coproduct(kappa, legs):
+            pv = p_table.get((leg[p_leg], p))
+            if pv:
+                qv = q_table.get((leg[q_leg], q))
+                if qv:
+                    out.append((c, pv, leg[k_leg], qv))
+        return out
+
+    def slot_terms(self, rule, slots="pq"):
+        """`expand` over every basis p, kappa, q, yielding (p, kappa, q,
+        terms); a dual slot missing from `slots` stays at 0, unmoved."""
+        rule = tuple(rule)
+        n = self.n
+        ps = range(n if "p" in slots else 1)
+        qs = range(n if "q" in slots else 1)
+        for kappa in range(n * n):
+            for p in ps:
+                for q in qs:
+                    yield p, kappa, q, self.expand(rule, p, kappa, q)
+
+    def strides(self, layout):
+        """Flat-index stride of each slot letter of a layout."""
+        return {s: self.n ** (len(layout) - 1 - t)
+                for t, s in enumerate(layout)}
+
 
 def standard_triple(hopf, verify=True):
     return StandardTriple(hopf, verify=verify)
+
+
+# X's R: (p (x) q) (x) (g (x) h) -> sum (g2 (x) h2) (x)
+#        (S^-1(h1) -> p <- S(g1) (x) S(h3) -> q <- S^-1(g3))
+X_TWIST = (3, ("L~", 0), ("R", 2), 1)
 
 
 def build_xyz(hopf, which, setup=None):
@@ -424,8 +510,7 @@ def build_xyz(hopf, which, setup=None):
 
     Slot orders: X on (g, h, p, q), Y on (p, (h, g), q), Z on ((p, q), (h, g)).
     Y and Z come from the generic two-sided and diagonal builders over the
-    canonical actions; X multiplies by straightening mixed products into
-    corner products.
+    canonical actions; X twists H^op (x) H past D (x) D^op by X_TWIST.
     """
     if which not in ("X", "Y", "Z"):
         raise ValueError(f"unknown construction {which!r}")
@@ -443,54 +528,30 @@ def build_xyz(hopf, which, setup=None):
 
     n = setup.n
     field = setup.field
-    one = field.one
     hopf_alg = hopf.algebra
     dual_alg = setup.dual.algebra
-    delta2 = hopf.coalgebra.delta2
-    dims = (n, n, n, n)
+    gh = tensor_algebra(setup.hop.algebra, hopf_alg)
 
-    def pair(i, j):
-        g, h, p, q = unflatten_index(i, dims)
-        g2, h2, p2, q2 = unflatten_index(j, dims)
+    def twist(pq, gh_index):
+        p, q = divmod(pq, n)
+        g, h = divmod(gh_index, n)
         acc = {}
-        for hp1, hp2, hp3, c1 in delta2(h2):
-            slot2 = hopf_alg.mul_basis(h, hp2)
-            if not slot2:
-                continue
-            for gp1, gp2, gp3, c2 in delta2(g2):
-                slot1 = hopf_alg.mul_basis(gp2, g)
-                if not slot1:
-                    continue
-                ptil = setup.arrow_sv(setup.s_inv_col(hp1), {p: one},
-                                      setup.s_col(gp1))
-                slot3 = dual_alg.mul_sv(ptil, {p2: one})
-                if not slot3:
-                    continue
-                qtil = setup.arrow_sv(setup.s_col(hp3), {q: one},
-                                      setup.s_inv_col(gp3))
-                slot4 = dual_alg.mul_sv({q2: one}, qtil)
-                if not slot4:
-                    continue
-                w = c1 * c2
-                for t1, a1 in slot1.items():
-                    for t2, a2 in slot2.items():
-                        base2 = (t1 * n + t2) * n
-                        w12 = w * a1 * a2
-                        for t3, a3 in slot3.items():
-                            base3 = (base2 + t3) * n
-                            w123 = w12 * a3
-                            for t4, a4 in slot4.items():
-                                key = base3 + t4
-                                acc[key] = acc.get(key, 0) + w123 * a4
-        return sv_canon(field, acc)
+        for c, pv, leg, qv in setup.expand(X_TWIST, p, h * n + g, q):
+            h2, g2 = divmod(leg, n)
+            base = (g2 * n + h2) * n
+            add_tensor(acc, {base + t: c * ct for t, ct in pv.items()}, qv,
+                       n, 1)
+        return acc
 
     hl = hopf.basis_labels
-    dl = setup.dual.algebra.basis_labels
+    dl = dual_alg.basis_labels
     labels = [f"{lg}*{lh}#{lp}*{lq}" for lg in hl for lh in hl
               for lp in dl for lq in dl]
     unit = sv_tensor(field, [hopf_alg.unit_sv(), hopf_alg.unit_sv(),
-                             dual_alg.unit_sv(), dual_alg.unit_sv()], dims)
-    return AlgebraHandle(field, dims, labels, unit, pair, "X")
+                             dual_alg.unit_sv(), dual_alg.unit_sv()],
+                     (n, n, n, n))
+    return twisted_tensor(field, gh.mul_basis, setup.C.mul_basis, n * n,
+                          twist, (n, n, n, n), labels, unit, "X")
 
 
 def smash_handles(hopf, setup=None):

@@ -66,28 +66,32 @@ def _vector(field, obj, dim, where):
 
 
 def _int_in(v, bound, where):
-    if not isinstance(v, int) or not 0 <= v < bound:
+    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < bound:
         raise FormatError(f"index {v!r} out of range in {where}")
     return v
 
 
-def _triples_to_mult(field, triples, dim, where="mult"):
-    mult = {}
+def _table(field, entries, bounds, where):
+    """The nonzero entries (i, j, k, c) of an [i, j, k, scalar] table.
+
+    The table is a list of 4-item lists whose indices are ints (not
+    bools) below `bounds`; an (i, j, k) triple may appear only once.
+    """
+    if not isinstance(entries, list):
+        raise FormatError(f"{where} must be a list of [i, j, k, scalar]")
+    out = []
     seen = set()
-    for entry in triples:
+    for entry in entries:
         if not isinstance(entry, list) or len(entry) != 4:
             raise FormatError(f"{where} entries must be [i, j, k, scalar]")
-        i, j, k, s = entry
-        i = _int_in(i, dim, where)
-        j = _int_in(j, dim, where)
-        k = _int_in(k, dim, where)
-        if (i, j, k) in seen:
-            raise FormatError(f"duplicate {where} entry ({i}, {j}, {k})")
-        seen.add((i, j, k))
-        c = _scalar(field, s, where)
+        idx = tuple(_int_in(v, b, where) for v, b in zip(entry, bounds))
+        if idx in seen:
+            raise FormatError(f"duplicate {where} entry {idx}")
+        seen.add(idx)
+        c = _scalar(field, entry[3], where)
         if c != field.zero:
-            mult.setdefault((i, j), {})[k] = c
-    return mult
+            out.append((*idx, c))
+    return out
 
 
 def _mult_to_triples(field, mult):
@@ -155,7 +159,9 @@ def read_document(data):
     if (not isinstance(basis, list) or len(basis) != dim
             or not all(isinstance(b, str) for b in basis)):
         raise FormatError("basis must be a list of dim strings")
-    mult = _triples_to_mult(field, data["mult"], dim)
+    mult = {}
+    for i, j, k, c in _table(field, data["mult"], (dim,) * 3, "mult"):
+        mult.setdefault((i, j), {})[k] = c
     unit = _vector(field, data["unit"], dim, "unit")
     try:
         algebra = AlgebraData(field, dim, list(basis), mult, unit)
@@ -169,20 +175,8 @@ def read_document(data):
             missing = set(HOPF_ONLY_KEYS) - set(present)
             raise FormatError(f"incomplete Hopf structure, missing {sorted(missing)}")
         comult = {}
-        seen = set()
-        for entry in data["comult"]:
-            if not isinstance(entry, list) or len(entry) != 4:
-                raise FormatError("comult entries must be [i, j, k, scalar]")
-            i, j, k, s = entry
-            i = _int_in(i, dim, "comult")
-            j = _int_in(j, dim, "comult")
-            k = _int_in(k, dim, "comult")
-            if (i, j, k) in seen:
-                raise FormatError(f"duplicate comult entry ({i}, {j}, {k})")
-            seen.add((i, j, k))
-            c = _scalar(field, s, "comult")
-            if c != field.zero:
-                comult.setdefault(i, []).append((j, k, c))
+        for i, j, k, c in _table(field, data["comult"], (dim,) * 3, "comult"):
+            comult.setdefault(i, []).append((j, k, c))
         counit = _vector(field, data["counit"], dim, "counit")
         antipode_rows = data["antipode"]
         if (not isinstance(antipode_rows, list) or len(antipode_rows) != dim
@@ -216,16 +210,10 @@ def read_document(data):
         if module_dim is None:
             raise FormatError("actions require a module block")
         tensor = {}
-        for entry in a.get("tensor", []):
-            if not isinstance(entry, list) or len(entry) != 4:
-                raise FormatError("action tensor entries must be [i, j, k, scalar]")
-            i, j, k, s = entry
-            i = _int_in(i, dim, "action tensor")
-            j = _int_in(j, module_dim, "action tensor")
-            k = _int_in(k, module_dim, "action tensor")
-            c = _scalar(field, s, "action tensor")
-            if c != field.zero:
-                tensor.setdefault((i, j), {})[k] = c
+        for i, j, k, c in _table(field, a.get("tensor", []),
+                                 (dim, module_dim, module_dim),
+                                 "action tensor"):
+            tensor.setdefault((i, j), {})[k] = c
         actions.append((ActionData(field, dim, module_dim, side, tensor), by))
 
     coactions = []
@@ -237,16 +225,10 @@ def read_document(data):
         if module_dim is None:
             raise FormatError("coactions require a module block")
         tensor = {}
-        for entry in c.get("tensor", []):
-            if not isinstance(entry, list) or len(entry) != 4:
-                raise FormatError("coaction tensor entries must be [c, j, k, scalar]")
-            leg, j, k, s = entry
-            leg = _int_in(leg, dim, "coaction tensor")
-            j = _int_in(j, module_dim, "coaction tensor")
-            k = _int_in(k, module_dim, "coaction tensor")
-            w = _scalar(field, s, "coaction tensor")
-            if w != field.zero:
-                tensor.setdefault(j, []).append((leg, k, w))
+        for leg, j, k, w in _table(field, c.get("tensor", []),
+                                   (dim, module_dim, module_dim),
+                                   "coaction tensor"):
+            tensor.setdefault(j, []).append((leg, k, w))
         coactions.append(
             (CoactionData(field, module_dim, dim, side, tensor), by))
 

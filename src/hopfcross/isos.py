@@ -7,161 +7,74 @@ fixed in `crossed`: X on (g, h, p, q), Y on (p, (h, g), q), Z on
 X to Z, and `f` is the generic two-sided-to-diagonal map instantiated on
 the canonical triple (where it coincides with alpha).
 
-`beta` is deliberately built from its own formula; that it equals
-`alpha o phi` as a matrix is a verification target, not an assumption.
+Every map is one row of `ISO_SPECS`: expand the coproduct of
+kappa = h (x) g, move p and q by regular arrows, keep one leg in the K
+slot, and place the result in the target's slot order.  `beta` has its
+own row; that it equals `alpha o phi` as a matrix is a verification
+target, not an assumption.  `f` has its own row too, the generic
+formula written with S_K^-1, so that it agrees with alpha is a test
+between two computations, not one computation read twice.
 """
 
 from .algebra import random_dense_vector
-from .crossed import StandardTriple
+from .crossed import LAYOUTS, StandardTriple
 from .errors import DimensionMismatchError
 from .linalg import LinearMap, sv_canon
 from .report import CheckReport, MORPHISM_DIM_CAP, certify
 
-ISO_KINDS = ("phi", "phi_inv", "alpha", "alpha_inv", "beta", "beta_inv",
-             "f", "f_inv")
-
 MORPHISM_TRIALS = 200
+
+# kind: (source, target, coproduct legs of kappa = h (x) g, p move, q move,
+#        leg kept in the K slot); a move is None or (moves rule, leg).
+ISO_SPECS = {
+    # X -> Y: sum (h1 -> p <- g1) # (h2 (x) g2) # q
+    "phi": ("X", "Y", 2, ("L", 0), None, 1),
+    # Y -> X: sum (g2 (x) h2) (x) (S^-1(h1) -> p <- S(g1) (x) q)
+    "phi_inv": ("Y", "X", 2, ("L~", 0), None, 1),
+    # Y -> Z: sum (p (x) (h2 -> q <- g2)) >< (h1 (x) g1)
+    "alpha": ("Y", "Z", 2, None, ("L", 1), 0),
+    # Z -> Y: sum p # (h1 (x) g1) # (S(h2) -> q <- S^-1(g2))
+    "alpha_inv": ("Z", "Y", 2, None, ("R", 1), 0),
+    # X -> Z: sum (h1 -> p <- g1 (x) h3 -> q <- g3) >< (h2 (x) g2)
+    "beta": ("X", "Z", 3, ("L", 0), ("L", 2), 1),
+    # Z -> X: sum (g2 (x) h2) (x)
+    #         (S^-1(h1) -> p <- S(g1) (x) S(h3) -> q <- S^-1(g3))
+    "beta_inv": ("Z", "X", 3, ("L~", 0), ("R", 2), 1),
+    # Y -> Z: f(a # k # b) = sum (a (x) b.S_K^-1(k2)) >< k1
+    "f": ("Y", "Z", 2, None, ("R~", 1), 0),
+    # Z -> Y: f^-1((a (x) b) >< k) = sum a # k1 # b.k2
+    "f_inv": ("Z", "Y", 2, None, ("R", 1), 0),
+}
+ISO_KINDS = tuple(ISO_SPECS)
 
 
 def build_iso(kind, hopf, setup=None):
     """The matrix of one of phi/alpha/beta/f or an inverse, on full bases."""
-    if kind not in ISO_KINDS:
+    if kind not in ISO_SPECS:
         raise ValueError(f"unknown isomorphism kind {kind!r}")
     if setup is None:
         setup = StandardTriple(hopf)
+    src, dst, *rule = ISO_SPECS[kind]
     n = setup.n
     n4 = n ** 4
     field = setup.field
-    one = field.one
-    delta = hopf.coalgebra.delta
-    delta2 = hopf.coalgebra.delta2
-    arrow = setup.arrow_sv
-    arrow_basis = setup.arrow_basis
-    s_col, s_inv_col = setup.s_col, setup.s_inv_col
-    cols = []
-
-    if kind == "phi":
-        # X -> Y: sum (h1 -> p <- g1) # (h2 (x) g2) # q
-        for i in range(n4):
-            q = i % n; p = i // n % n; h = i // n**2 % n; g = i // n**3
-            acc = {}
-            for h1, h2, ch in delta(h):
-                for g1, g2, cg in delta(g):
-                    w = ch * cg
-                    for t, c in arrow_basis(h1, p, g1).items():
-                        key = ((t * n + h2) * n + g2) * n + q
-                        acc[key] = acc.get(key, 0) + w * c
-            cols.append(sv_canon(field, acc))
-    elif kind == "phi_inv":
-        # Y -> X: sum (g2 (x) h2) (x) (S^-1(h1) -> p <- S(g1) (x) q)
-        for i in range(n4):
-            q = i % n; g = i // n % n; h = i // n**2 % n; p = i // n**3
-            acc = {}
-            for h1, h2, ch in delta(h):
-                for g1, g2, cg in delta(g):
-                    w = ch * cg
-                    tw = arrow(s_inv_col(h1), {p: one}, s_col(g1))
-                    for t, c in tw.items():
-                        key = ((g2 * n + h2) * n + t) * n + q
-                        acc[key] = acc.get(key, 0) + w * c
-            cols.append(sv_canon(field, acc))
-    elif kind == "alpha":
-        # Y -> Z: sum (p (x) (h2 -> q <- g2)) >< (h1 (x) g1)
-        for i in range(n4):
-            q = i % n; g = i // n % n; h = i // n**2 % n; p = i // n**3
-            acc = {}
-            for h1, h2, ch in delta(h):
-                for g1, g2, cg in delta(g):
-                    w = ch * cg
-                    for t, c in arrow_basis(h2, q, g2).items():
-                        key = ((p * n + t) * n + h1) * n + g1
-                        acc[key] = acc.get(key, 0) + w * c
-            cols.append(sv_canon(field, acc))
-    elif kind == "alpha_inv":
-        # Z -> Y: sum p # (h1 (x) g1) # (S(h2) -> q <- S^-1(g2))
-        for i in range(n4):
-            g = i % n; h = i // n % n; q = i // n**2 % n; p = i // n**3
-            acc = {}
-            for h1, h2, ch in delta(h):
-                for g1, g2, cg in delta(g):
-                    w = ch * cg
-                    tw = arrow(s_col(h2), {q: one}, s_inv_col(g2))
-                    for t, c in tw.items():
-                        key = ((p * n + h1) * n + g1) * n + t
-                        acc[key] = acc.get(key, 0) + w * c
-            cols.append(sv_canon(field, acc))
-    elif kind == "beta":
-        # X -> Z: sum (h1 -> p <- g1 (x) h3 -> q <- g3) >< (h2 (x) g2)
-        for i in range(n4):
-            q = i % n; p = i // n % n; h = i // n**2 % n; g = i // n**3
-            acc = {}
-            for h1, h2, h3, ch in delta2(h):
-                for g1, g2, g3, cg in delta2(g):
-                    w = ch * cg
-                    for t1, c1 in arrow_basis(h1, p, g1).items():
-                        for t2, c2 in arrow_basis(h3, q, g3).items():
-                            key = ((t1 * n + t2) * n + h2) * n + g2
-                            acc[key] = acc.get(key, 0) + w * c1 * c2
-            cols.append(sv_canon(field, acc))
-    elif kind == "beta_inv":
-        # Z -> X: sum (g2 (x) h2) (x)
-        #         (S^-1(h1) -> p <- S(g1) (x) S(h3) -> q <- S^-1(g3))
-        for i in range(n4):
-            g = i % n; h = i // n % n; q = i // n**2 % n; p = i // n**3
-            acc = {}
-            for h1, h2, h3, ch in delta2(h):
-                for g1, g2, g3, cg in delta2(g):
-                    w = ch * cg
-                    tw_p = arrow(s_inv_col(h1), {p: one}, s_col(g1))
-                    tw_q = arrow(s_col(h3), {q: one}, s_inv_col(g3))
-                    for t1, c1 in tw_p.items():
-                        for t2, c2 in tw_q.items():
-                            key = ((g2 * n + h2) * n + t1) * n + t2
-                            acc[key] = acc.get(key, 0) + w * c1 * c2
-            cols.append(sv_canon(field, acc))
-    elif kind == "f":
-        return two_sided_to_diagonal(setup.dual.algebra, setup.K,
-                                     setup.dual_op_alg, setup.act_on_dual_op)
-    else:
-        return diagonal_to_two_sided(setup.dual.algebra, setup.K,
-                                     setup.dual_op_alg, setup.act_on_dual_op)
+    at, to = setup.strides(LAYOUTS[src]), setup.strides(LAYOUTS[dst])
+    cols = [None] * n4
+    for p, kappa, q, terms in setup.slot_terms(rule):
+        acc = {}
+        for c, pv, leg, qv in terms:
+            h, g = divmod(leg, n)
+            base = h * to["h"] + g * to["g"]
+            for tp, cp in pv.items():
+                at_p = base + tp * to["p"]
+                w = c * cp
+                for tq, cq in qv.items():
+                    key = at_p + tq * to["q"]
+                    acc[key] = acc.get(key, 0) + w * cq
+        h, g = divmod(kappa, n)
+        i = p * at["p"] + q * at["q"] + h * at["h"] + g * at["g"]
+        cols[i] = sv_canon(field, acc)
     return LinearMap.from_columns(field, n4, n4, cols)
-
-
-def two_sided_to_diagonal(a_alg, hopf, b_alg, act_right):
-    """f(a # h # b) = sum (a (x) b.S^-1(h2)) >< h1 as a matrix."""
-    da, dh, db = a_alg.dim, hopf.dim, b_alg.dim
-    field = a_alg.field
-    one = field.one
-    cols = []
-    for i in range(da * dh * db):
-        a, rest = divmod(i, dh * db)
-        h, b = divmod(rest, db)
-        acc = {}
-        for h1, h2, c in hopf.coalgebra.delta(h):
-            moved = act_right.act_sv(hopf.antipode_inv_col(h2), {b: one})
-            for t, ct in moved.items():
-                key = (a * db + t) * dh + h1
-                acc[key] = acc.get(key, 0) + c * ct
-        cols.append(sv_canon(field, acc))
-    return LinearMap.from_columns(field, da * dh * db, da * db * dh, cols)
-
-
-def diagonal_to_two_sided(a_alg, hopf, b_alg, act_right):
-    """f^-1((a (x) b) >< h) = sum a # h1 # b.h2 as a matrix."""
-    da, dh, db = a_alg.dim, hopf.dim, b_alg.dim
-    field = a_alg.field
-    cols = []
-    for i in range(da * db * dh):
-        ab, h = divmod(i, dh)
-        a, b = divmod(ab, db)
-        acc = {}
-        for h1, h2, c in hopf.coalgebra.delta(h):
-            for t, ct in act_right.act_basis(h2, b).items():
-                key = (a * dh + h1) * db + t
-                acc[key] = acc.get(key, 0) + c * ct
-        cols.append(sv_canon(field, acc))
-    return LinearMap.from_columns(field, da * db * dh, da * dh * db, cols)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,13 @@ RANDOM_COORD_BOUND = 10**6   # random test vectors draw integer coords in [-boun
 
 @dataclass(frozen=True)
 class CheckMode:
-    """Exhaustive basis enumeration or seeded random exact evaluation."""
+    """Exhaustive basis enumeration or seeded random exact evaluation.
 
-    kind: str  # "exhaustive" | "random"
+    The kind "auto" is a mode not yet resolved: it carries only the seed,
+    and `certify` turns it into one of the other two by dimension.
+    """
+
+    kind: str  # "exhaustive" | "random" | "auto"
     trials: int = DEFAULT_TRIALS
     seed: int = 0
 
@@ -46,6 +50,11 @@ class CheckMode:
         if dim <= cap:
             return CheckMode("exhaustive")
         return CheckMode("random", trials=trials, seed=seed)
+
+    @staticmethod
+    def deferred(seed=0):
+        """The mode `certify` picks by dimension, seeded with `seed`."""
+        return CheckMode("auto", seed=seed)
 
 
 @dataclass
@@ -96,9 +105,10 @@ def certify(mode, dim, exhaustive, trial, prelude=(), cap=EXHAUSTIVE_DIM_CAP,
             trials=DEFAULT_TRIALS, seed=0):
     """Run one certificate under the mode policy; return its report.
 
-    Without a `mode` the check is exhaustive when `dim` <= `cap` (32 for
-    algebra axioms, MORPHISM_DIM_CAP = 81 for morphism and module pair
-    checks), else `trials` seeded random trials; a random mode has at
+    Without a `mode`, or with a deferred one, the check is exhaustive when
+    `dim` <= `cap` (32 for algebra axioms, MORPHISM_DIM_CAP = 81 for
+    morphism and module pair checks), else `trials` random trials seeded
+    by the deferred mode's seed or else `seed`; a random mode has at
     least one trial.  Trial coordinates come from `field.random`: integers
     in [-10**6, 10**6] over Q, uniform residues over F_p.  So a violated
     identity of total degree d escapes one trial with probability at most
@@ -110,8 +120,9 @@ def certify(mode, dim, exhaustive, trial, prelude=(), cap=EXHAUSTIVE_DIM_CAP,
     the first lhs != rhs is the violation and ends the check.  The mode
     used is kept in `report.mode`.
     """
-    if mode is None:
-        mode = CheckMode.auto(dim, cap=cap, trials=trials, seed=seed)
+    if mode is None or mode.kind == "auto":
+        mode = CheckMode.auto(dim, cap=cap, trials=trials,
+                              seed=seed if mode is None else mode.seed)
     if mode.kind == "exhaustive":
         items = exhaustive()
     else:

@@ -249,3 +249,31 @@ def test_bad_mode_is_input_error(cyclic2_file, command, mode):
     assert r.returncode == 2
     assert r.stdout == ""
     assert repr(mode) in r.stderr
+
+
+@pytest.mark.parametrize("args,option", [
+    (["bimodule", "--module", "free:x"], "--module"),
+    (["bimodule", "--module", "free:0"], "--module"),
+    (["bimodule", "--module", "bogus"], "--module"),
+    (["describe", "--catalog", "cyclic:2", "--field", "x"], "--field"),
+    (["describe", "--catalog", "cyclic:x"], "--catalog"),
+])
+def test_bad_option_is_input_error(cyclic2_file, args, option):
+    if args[0] == "bimodule":
+        args = [*args, "--input", str(cyclic2_file)]
+    r = run_cli(args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert option in r.stderr
+
+
+def test_deferred_mode_carries_the_seed(cyclic3):
+    from hopfcross.cli import _parse_mode, make_parser
+    from hopfcross.crossed import build_xyz, check_handle_axioms
+
+    args = make_parser().parse_args(
+        ["build", "--construction", "Y", "--input", "in.json", "--seed", "7"])
+    mode = _parse_mode(args.mode, args.seed)
+    rep = check_handle_axioms(build_xyz(cyclic3, "Y"), mode)
+    assert rep.passed
+    assert rep.mode.kind == "random" and rep.mode.seed == 7

@@ -122,3 +122,36 @@ def test_prime_field_document(taft25):
     doc = read_document(json.loads(dump_json(hopf_to_json(taft25))))
     assert doc.field == PrimeField(5)
     assert doc.hopf.algebra.mult == taft25.algebra.mult
+
+
+
+TABLE_PATHS = {"mult": ("mult",), "comult": ("comult",),
+               "action": ("actions", 0, "tensor"),
+               "coaction": ("coactions", 0, "tensor")}
+
+
+def _document_with(hopf, table, corruption):
+    doc = hopf_to_json(hopf)
+    doc.update(bimodule_blocks(example_bimodule(hopf, "free", 1)))
+    doc = json.loads(dump_json(doc))
+    *path, key = TABLE_PATHS[table]
+    owner = doc
+    for step in path:
+        owner = owner[step]
+    entries = owner[key]
+    if corruption == "not-a-list":
+        owner[key] = 5
+    elif corruption == "bool-index":
+        entries[0][0] = bool(entries[0][0])
+    elif corruption == "repeated-triple":
+        entries.append(list(entries[0]))
+    return doc
+
+
+@pytest.mark.parametrize("table", sorted(TABLE_PATHS))
+@pytest.mark.parametrize("corruption",
+                         ["not-a-list", "bool-index", "repeated-triple"])
+def test_every_table_is_read_alike(cyclic2, table, corruption):
+    assert read_document(_document_with(cyclic2, table, None)).bimodule()
+    with pytest.raises(FormatError, match=table):
+        read_document(_document_with(cyclic2, table, corruption))
