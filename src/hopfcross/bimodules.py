@@ -381,12 +381,14 @@ def assemble_two_sided_action(triple, a_dim, h_dim, b_dim):
 
 
 def triple_module_roundtrip(triple, a_alg, hopf_mid, b_alg, act_left_a,
-                            act_right_b, mode=None):
+                            act_right_b, mode=None, handle=None):
     """Full consistency suite for a candidate (A, H, B)-module.
 
     Checks the three compatibility conditions, their antipode-inverse
     equivalents, that the assembled action is a module over A # H # B,
     and that restricting along the three embeddings recovers the inputs.
+    `handle` is A # H # B as `two_sided_crossed` builds it from these
+    arguments, when the caller has one already; it is built otherwise.
     """
     field = triple.a_act.field
     one = field.one
@@ -464,8 +466,9 @@ def triple_module_roundtrip(triple, a_alg, hopf_mid, b_alg, act_left_a,
                     report.fail("condition-iii-inverse-form", (h, a, j), lhs, rhs)
                     return report
 
-    handle = two_sided_crossed(a_alg, hopf_mid, b_alg, act_left_a, act_right_b,
-                               verify=False)
+    if handle is None:
+        handle = two_sided_crossed(a_alg, hopf_mid, b_alg, act_left_a,
+                                   act_right_b, verify=False)
     assembled = assemble_two_sided_action(triple, da, dh, db)
     report.absorb(check_module_over_handle(handle, assembled, mode))
     if not report.passed:
@@ -513,9 +516,12 @@ def _embed3(a_sv, h_sv, b_sv, dh, db):
 
 
 def diagonal_module_condition(c_act, h_act, c_alg, hopf_mid, act_left_c,
-                              act_right_c, mode=None):
+                              act_right_c, mode=None, handle=None):
     """h.(c.m) = sum (h1.c.S^-1(h3)).(h2.m), and the assembled action
-    (c >< h).m = c.(h.m) is a module over the diagonal crossed product."""
+    (c >< h).m = c.(h.m) is a module over the diagonal crossed product.
+
+    `handle` is C >< H as `diagonal_crossed` builds it from these
+    arguments, when the caller has one already; it is built otherwise."""
     field = c_act.field
     one = field.one
     report = CheckReport()
@@ -539,8 +545,9 @@ def diagonal_module_condition(c_act, h_act, c_alg, hopf_mid, act_left_c,
                 if lhs != rhs:
                     report.fail("diagonal-condition", (h, c, j), lhs, rhs)
                     return report
-    handle = diagonal_crossed(c_alg, hopf_mid, act_left_c, act_right_c,
-                              verify=False)
+    if handle is None:
+        handle = diagonal_crossed(c_alg, hopf_mid, act_left_c, act_right_c,
+                                  verify=False)
     tensor = {}
     for c in range(dc):
         for h in range(dh):

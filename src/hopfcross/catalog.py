@@ -9,6 +9,7 @@ multiplicative order is exactly n, so outputs are deterministic.
 """
 
 from dataclasses import dataclass
+from math import gcd
 
 from .algebra import (AlgebraData, CoalgebraData, HopfAlgebraData,
                       check_hopf_axioms, dual_hopf, tensor_algebra)
@@ -60,20 +61,40 @@ def parse_catalog_spec(text, field=None):
     return CatalogSpec("taft", (n, p), forced)
 
 
+def _prime_factors(n):
+    factors, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            factors.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
 def least_root_of_unity(p, n):
-    """Smallest residue mod p of multiplicative order exactly n."""
-    if (p - 1) % n != 0:
+    """Smallest residue mod p of multiplicative order exactly n.
+
+    Any w = r^((p-1)/n) has order dividing n, and exactly n when
+    w^(n/q) != 1 for every prime q dividing n.  The residues of order n
+    are then the powers w^k with gcd(k, n) = 1, and the least of them is
+    returned.  Past the few trials of r this is O(sqrt(n) + n) steps.
+    """
+    if n < 1 or (p - 1) % n != 0:
         raise ValueError(f"no primitive {n}-th root of unity in F_{p}")
+    primes = _prime_factors(n)
     for r in range(1, p):
-        x, order = r, 1
-        while x != 1:
-            x = x * r % p
-            order += 1
-            if order > n:
-                break
-        if order == n:
-            return r
-    raise ValueError(f"no residue of order {n} mod {p}")  # unreachable for n | p-1
+        w = pow(r, (p - 1) // n, p)
+        if all(pow(w, n // q, p) != 1 for q in primes):
+            break
+    best, x = w, w
+    for k in range(2, n + 1):
+        x = x * w % p
+        if x < best and gcd(k, n) == 1:
+            best = x
+    return best
 
 
 def _cyclic(n, field):

@@ -292,7 +292,7 @@ def cmd_bimodule(args):
     triple = triple_from_bimodule(module, hopf, setup)
     rep = triple_module_roundtrip(
         triple, setup.dual.algebra, setup.K, setup.dual_op_alg,
-        setup.act_on_dual, setup.act_on_dual_op, mode)
+        setup.act_on_dual, setup.act_on_dual_op, mode, handle=handles["Y"])
     if not _report_line("triple roundtrip", rep, field):
         return 1
     from .actions import ActionData
@@ -308,7 +308,7 @@ def cmd_bimodule(args):
     c_act = ActionData(field, n * n, module.space_dim, "left", c_tensor)
     rep = diagonal_module_condition(
         c_act, triple.h_act, setup.C, setup.K, setup.act_left_C,
-        setup.act_right_C, mode)
+        setup.act_right_C, mode, handle=handles["Z"])
     if not _report_line("diagonal condition", rep, field):
         return 1
     rep = verify_f_correspondence(triple, module, hopf, setup, mode)

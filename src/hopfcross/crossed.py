@@ -30,6 +30,11 @@ Basis-pair products are cached the first time they are asked for (as
 flat [k1, c1, k2, c2, ...] lists), and R is evaluated once per basis pair
 (b, a'), so exhaustive checks and repeated oracle products cost one
 expansion per pair; iterated coproducts are cached on the coalgebras.
+Once every pair (i, .) is cached, `product_dense` compiles row i into
+one flat [j, k, c, ...] list of the nonzero structure constants of
+e_i e_j = sum c e_k and loops over those terms only.  A row compiles only
+when fully evaluated, so a dense product never evaluates a pair whose
+two coordinates are not both nonzero.
 
 The maps between X, Y and Z and the module actions on Hopf bimodules
 move the dual slots p and q by the same regular arrows.  A slot rule
@@ -54,7 +59,8 @@ class AlgebraHandle:
     """An algebra given by a multiplication oracle on coefficient vectors.
 
     `pair_fn(i, j)` returns the sparse product of basis elements i and j;
-    results are cached.  `materialized` is filled by `materialize`.
+    results are cached, and rows of them are compiled by `_row`.
+    `materialized` is filled by `materialize`.
     """
 
     def __init__(self, field, factor_dims, basis_labels, unit_sv, pair_fn,
@@ -71,6 +77,7 @@ class AlgebraHandle:
         self.materialized = None
         self._pair_fn = pair_fn
         self._pairs = [None] * (dim * dim)
+        self._rows = [None] * dim
 
     def _pair(self, i, j):
         idx = i * self.dim + j
@@ -83,6 +90,22 @@ class AlgebraHandle:
                 flat.append(sv[k])
             self._pairs[idx] = flat
         return flat
+
+    def _row(self, i):
+        """Row i as [j, k, c, ...] over every nonzero e_i e_j = sum c e_k,
+        or None while some pair (i, j) is unevaluated."""
+        row = self._rows[i]
+        if row is None:
+            n = self.dim
+            flats = self._pairs[i * n:(i + 1) * n]
+            if None in flats:
+                return None
+            row = []
+            for j, flat in enumerate(flats):
+                for t in range(0, len(flat), 2):
+                    row += (j, flat[t], flat[t + 1])
+            self._rows[i] = row
+        return row
 
     def basis_product(self, i, j):
         flat = self._pair(i, j)
@@ -108,6 +131,12 @@ class AlgebraHandle:
         for i in range(n):
             a = xs[i]
             if a == zero:
+                continue
+            row = self._row(i)
+            if row is not None:
+                terms = iter(row)
+                for j, k, c in zip(terms, terms, terms):
+                    acc[k] += a * ys[j] * c
                 continue
             for j in range(n):
                 b = ys[j]

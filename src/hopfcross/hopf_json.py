@@ -145,9 +145,9 @@ class ParsedDocument:
 
 def read_document(data):
     """Decode a JSON object (already parsed) into structure-constant types."""
-    _check_keys(data, TOP_KEYS, "document")
-    if "construction" in data:
+    if isinstance(data, dict) and "construction" in data:
         raise FormatError("this is a descriptor file, not structure constants")
+    _check_keys(data, TOP_KEYS, "document")
     for key in ("field", "dim", "basis", "mult", "unit"):
         if key not in data:
             raise FormatError(f"missing required key {key!r}")

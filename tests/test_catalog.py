@@ -1,9 +1,11 @@
+import time
+
 import pytest
 
 from hopfcross.algebra import check_hopf_axioms
 from hopfcross.catalog import (catalog_hopf, catalog_named, least_root_of_unity,
                                parse_catalog_spec)
-from hopfcross.fields import PrimeField, QQ
+from hopfcross.fields import PrimeField, QQ, is_probable_prime
 
 
 def test_every_catalog_entry_passes_exhaustively():
@@ -49,6 +51,34 @@ def test_least_root_of_unity():
     assert least_root_of_unity(13, 4) == 5
     with pytest.raises(ValueError):
         least_root_of_unity(7, 4)                   # 4 does not divide 6
+
+
+def _least_root_by_search(p, n):
+    """The reference: the first residue whose order is exactly n."""
+    for r in range(1, p):
+        x, order = r, 1
+        while x != 1 and order <= n:
+            x = x * r % p
+            order += 1
+        if order == n:
+            return r
+    return None
+
+
+def test_least_root_of_unity_agrees_with_search():
+    for p in range(2, 400):
+        if not is_probable_prime(p):
+            continue
+        for n in range(1, p):
+            if (p - 1) % n == 0:
+                assert least_root_of_unity(p, n) == _least_root_by_search(p, n)
+
+
+def test_taft_near_the_largest_prime_builds_fast():
+    start = time.perf_counter()
+    hopf = catalog_named("taft:2:2147483647")
+    assert time.perf_counter() - start < 1.0
+    assert hopf.dim == 4
 
 
 def test_taft_2_5_matches_sweedler_over_f5():

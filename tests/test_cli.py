@@ -115,6 +115,18 @@ def test_build_descriptor_over_cap(tmp_path, sweedler_file):
     assert r.returncode == 2
 
 
+def test_descriptor_file_is_named_as_such(tmp_path):
+    path = tmp_path / "descriptor.json"
+    path.write_text(json.dumps({"construction": "Z", "input_sha256": "0" * 64,
+                                "dim": 256, "field": "Q",
+                                "factor_dims": [4, 4, 4, 4]}))
+    for command in ("check", "semisimple"):
+        r = run_cli([command, str(path)])
+        assert r.returncode == 2
+        assert ("this is a descriptor file, not structure constants"
+                in r.stderr), r.stderr
+
+
 def test_build_all_constructions(tmp_path, cyclic2_file):
     for construction, dim in (("X", 16), ("Y", 16), ("left-smash", 8),
                               ("right-smash", 8), ("two-sided", 16),

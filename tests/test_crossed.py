@@ -5,7 +5,8 @@ import pytest
 from hopfcross.algebra import AlgebraData, check_algebra_axioms, tensor_algebra
 from hopfcross.actions import regular_actions, trivial_action
 from hopfcross.catalog import catalog_named
-from hopfcross.crossed import (StandardTriple, build_xyz, check_handle_axioms,
+from hopfcross.crossed import (AlgebraHandle, StandardTriple, build_xyz,
+                               check_handle_axioms,
                                diagonal_crossed, handle_from_algebra,
                                left_smash, materialize, right_smash,
                                smash_handles, two_sided_crossed)
@@ -407,3 +408,93 @@ def test_embedded_k_copies_match_tensor_hopf(cyclic2, setup_c2, xyz_c2):
             got = z.product(sv_tensor(QQ, [one_c, {h: 1}], [4, 4]),
                             sv_tensor(QQ, [one_c, {h2: 1}], [4, 4]))
             assert got == sv_tensor(QQ, [one_c, want], [4, 4])
+
+
+# ---------------------------------------------------------------------------
+# the compiled-row kernel of product_dense
+
+def _vector_with_zeros(field, rng, dim):
+    """A dense vector with about a third of its coordinates zero."""
+    return [field.zero if rng.random() < 1 / 3
+            else field.div(rng.randint(1, 9), rng.randint(1, 4))
+            for _ in range(dim)]
+
+
+def _record_pairs(handle):
+    """Wrap the handle's oracle; returns the list of pairs it evaluates."""
+    seen = []
+    pair_fn = handle._pair_fn
+
+    def recorded(i, j):
+        seen.append((i, j))
+        return pair_fn(i, j)
+
+    handle._pair_fn = recorded
+    return seen
+
+
+def test_product_dense_evaluates_only_pairs_of_nonzero_coordinates(
+        taft25, setup_taft):
+    handle = build_xyz(taft25, "Y", setup_taft)
+    field, n = handle.field, handle.dim
+    seen = _record_pairs(handle)
+    rng = random.Random(5)
+    x = _vector_with_zeros(field, rng, n)
+    y = _vector_with_zeros(field, rng, n)
+    want = {(i, j) for i in range(n) if x[i] for j in range(n) if y[j]}
+    handle.product_dense(x, y)
+    assert len(seen) == len(want) and set(seen) == want
+    # a y without zeros fills every row i with x_i != 0; the next product
+    # compiles those rows and evaluates nothing new
+    y_full = [field.one] * n
+    want |= {(i, j) for i in range(n) if x[i] for j in range(n)}
+    handle.product_dense(x, y_full)
+    handle.product_dense(x, y)
+    assert len(seen) == len(want) and set(seen) == want
+    assert all((handle._rows[i] is not None) == (x[i] != 0) for i in range(n))
+
+
+@pytest.mark.parametrize("name,setup_name", [("sweedler", "setup_sw"),
+                                             ("taft25", "setup_taft")])
+def test_compiled_rows_match_cold_and_sparse_products(name, setup_name,
+                                                      request):
+    from hopfcross.linalg import sv_from_list, sv_to_list
+    hopf = request.getfixturevalue(name)
+    setup = request.getfixturevalue(setup_name)
+    for which in ("X", "Y", "Z"):
+        handle = build_xyz(hopf, which, setup)
+        field, n = handle.field, handle.dim
+        rng = random.Random(7)
+        x = _vector_with_zeros(field, rng, n)
+        y = _vector_with_zeros(field, rng, n)
+        cold = handle.product_dense(x, y)
+        assert all(row is None for row in handle._rows)
+        for i in range(n):
+            for j in range(n):
+                handle.basis_product(i, j)
+        warm = handle.product_dense(x, y)
+        assert all((handle._rows[i] is not None) == (x[i] != 0)
+                   for i in range(n))
+        sparse = handle.product(sv_from_list(field, x), sv_from_list(field, y))
+        assert warm == cold == sv_to_list(sparse, n), which
+
+
+def test_an_empty_compiled_row_is_still_used():
+    # row 1 has no nonzero structure constant, so it compiles to []; the
+    # kernel must read it as compiled and not go back to the pair table
+    handle = AlgebraHandle(QQ, (3,), ["a", "b", "c"], {0: 1},
+                           lambda i, j: {} if i == 1 else {(i + j) % 3: 1},
+                           "test")
+    for i in range(3):
+        for j in range(3):
+            handle.basis_product(i, j)
+    x = y = [1, 2, 3]
+    assert handle.product_dense(x, y) == [7, 11, 6]
+    assert handle._rows[1] == []
+
+    def unreachable(i, j):
+        raise AssertionError(f"pair ({i}, {j}) evaluated again")
+
+    handle._pair_fn = unreachable
+    handle._pairs = [None] * 9
+    assert handle.product_dense(x, y) == [7, 11, 6]
