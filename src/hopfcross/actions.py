@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .algebra import dual_hopf, tensor_algebra, tensor_hopf, variant
 from .errors import DimensionMismatchError, UnverifiedActionError
 from .linalg import LinearMap, sv_add_into, sv_canon
-from .report import CheckReport
+from .report import certify_exhaustive
 
 
 @dataclass
@@ -81,19 +81,19 @@ class CoactionData:
 
 def check_module_axioms(act, actor_alg):
     """Unit acts as identity; action associates with the actor's product."""
+    return certify_exhaustive(module_items(act, actor_alg))
+
+
+def module_items(act, actor_alg):
+    """Items of `check_module_axioms`, for the checks that chain it."""
     if act.actor_dim != actor_alg.dim:
         raise DimensionMismatchError("actor dim does not match algebra dim")
-    report = CheckReport()
-    field = act.field
-    one = field.one
+    one = act.field.one
     unit = actor_alg.unit_sv()
     for j in range(act.space_dim):
         m = {j: one}
-        got = act.act_sv(unit, m)
-        if got != m:
-            report.fail("module-unit", (j,), got, m)
-            return report
-        report.checked += 1
+        yield 1, "module-unit", (j,), act.act_sv(unit, m), m
+    axiom = f"module-assoc-{act.side}"
     for a in range(act.actor_dim):
         ea = {a: one}
         for b in range(act.actor_dim):
@@ -101,16 +101,11 @@ def check_module_axioms(act, actor_alg):
             eb = {b: one}
             for j in range(act.space_dim):
                 m = {j: one}
-                lhs = act.act_sv(ab, m)
                 if act.side == "left":
                     rhs = act.act_sv(ea, act.act_sv(eb, m))
                 else:
                     rhs = act.act_sv(eb, act.act_sv(ea, m))
-                report.checked += 1
-                if lhs != rhs:
-                    report.fail(f"module-assoc-{act.side}", (a, b, j), lhs, rhs)
-                    return report
-    return report
+                yield 1, axiom, (a, b, j), act.act_sv(ab, m), rhs
 
 
 def check_module_algebra(side, hopf, alg, act):
@@ -119,44 +114,45 @@ def check_module_algebra(side, hopf, alg, act):
     Left:  h.(ab) = sum (h1.a)(h2.b) and h.1 = eps(h) 1.
     Right: (ab).h = sum (a.h1)(b.h2) and 1.h = eps(h) 1.
     """
+    return certify_exhaustive(module_algebra_items(side, hopf, alg, act))
+
+
+def module_algebra_items(side, hopf, alg, act):
+    """Items of `check_module_algebra`, for the checks that chain it."""
     if act.side != side:
         raise ValueError(f"action is {act.side}-sided, expected {side}")
     if act.space_dim != alg.dim:
         raise DimensionMismatchError("action space does not match algebra dim")
-    report = check_module_axioms(act, hopf.algebra)
-    if not report.passed:
-        return report
+    yield from module_items(act, hopf.algebra)
     field = act.field
     one = field.one
     unit_a = alg.unit_sv()
     counit = hopf.coalgebra.counit
+    axiom = f"module-algebra-{side}"
     for h in range(hopf.dim):
-        got = act.act_sv({h: one}, unit_a)
-        want = sv_canon(field, {k: counit[h] * c for k, c in unit_a.items()})
-        if got != want:
-            report.fail("module-algebra-unit", (h,), got, want)
-            return report
+        yield (0, "module-algebra-unit", (h,), act.act_sv({h: one}, unit_a),
+               sv_canon(field, {k: counit[h] * c for k, c in unit_a.items()}))
         delta = hopf.coalgebra.delta(h)
         for a in range(alg.dim):
             for b in range(alg.dim):
-                lhs = act.act_sv({h: one}, alg.mul_basis(a, b))
                 acc = {}
                 for h1, h2, c in delta:
                     part = alg.mul_sv(act.act_basis(h1, a), act.act_basis(h2, b))
                     sv_add_into(acc, part, c)
-                rhs = sv_canon(field, acc)
-                report.checked += 1
-                if lhs != rhs:
-                    report.fail(f"module-algebra-{side}", (h, a, b), lhs, rhs)
-                    return report
-    return report
+                yield (1, axiom, (h, a, b),
+                       act.act_sv({h: one}, alg.mul_basis(a, b)),
+                       sv_canon(field, acc))
 
 
 def check_coaction_axioms(coact, coalgebra):
     """Coassociativity with Delta of the coacting coalgebra; counit law."""
+    return certify_exhaustive(coaction_items(coact, coalgebra))
+
+
+def coaction_items(coact, coalgebra):
+    """Items of `check_coaction_axioms`, for the checks that chain it."""
     if coact.coalgebra_dim != coalgebra.dim:
         raise DimensionMismatchError("coaction coalgebra dim mismatch")
-    report = CheckReport()
     field = coact.field
     for j in range(coact.space_dim):
         # both sides live in C (x) C (x) M (left) or M (x) C (x) C (right)
@@ -172,19 +168,13 @@ def check_coaction_axioms(coact, coalgebra):
                 else:
                     rhs_key = (c2, c, k2)
                 rhs[rhs_key] = rhs.get(rhs_key, 0) + w * w2
-        if sv_canon(field, lhs) != sv_canon(field, rhs):
-            report.fail(f"coaction-coassoc-{coact.side}", (j,),
-                        sv_canon(field, lhs), sv_canon(field, rhs))
-            return report
+        yield (0, f"coaction-coassoc-{coact.side}", (j,), sv_canon(field, lhs),
+               sv_canon(field, rhs))
         counit_applied = {}
         for c, k, w in coact.legs(j):
             counit_applied[k] = counit_applied.get(k, 0) + w * coalgebra.counit[c]
-        if sv_canon(field, counit_applied) != {j: field.one}:
-            report.fail(f"coaction-counit-{coact.side}", (j,),
-                        sv_canon(field, counit_applied), {j: field.one})
-            return report
-        report.checked += 1
-    return report
+        yield (1, f"coaction-counit-{coact.side}", (j,),
+               sv_canon(field, counit_applied), {j: field.one})
 
 
 def bicomodule_legs(left_co, right_co, j):
@@ -206,25 +196,22 @@ def bicomodule_legs(left_co, right_co, j):
 
 def check_bicomodule_coherence(left_co, right_co):
     """(lambda (x) id) rho = (id (x) rho) lambda on every basis element."""
-    report = CheckReport()
+    return certify_exhaustive(coherence_items(left_co, right_co))
+
+
+def coherence_items(left_co, right_co):
+    """Items of `check_bicomodule_coherence`, for the checks that chain it."""
     field = left_co.field
     for j in range(left_co.space_dim):
-        via_left = {}
-        for cl, k, w in left_co.legs(j):
-            for cr, k2, w2 in right_co.legs(k):
-                key = (cl, k2, cr)
-                via_left[key] = via_left.get(key, 0) + w * w2
+        via_left = {(cl, k, cr): c
+                    for cl, k, cr, c in bicomodule_legs(left_co, right_co, j)}
         via_right = {}
         for cr, k, w in right_co.legs(j):
             for cl, k2, w2 in left_co.legs(k):
                 key = (cl, k2, cr)
                 via_right[key] = via_right.get(key, 0) + w * w2
-        if sv_canon(field, via_left) != sv_canon(field, via_right):
-            report.fail("bicomodule-coherence", (j,),
-                        sv_canon(field, via_left), sv_canon(field, via_right))
-            return report
-        report.checked += 1
-    return report
+        yield (1, "bicomodule-coherence", (j,), via_left,
+               sv_canon(field, via_right))
 
 
 # ---------------------------------------------------------------------------
@@ -295,23 +282,19 @@ def build_bimodule_algebra(a_alg, act_left, b_alg, act_right, hopf,
 
 def check_bimodule_algebra(hopf, alg, act_left, act_right):
     """Left and right module-algebra axioms plus h.(c.g) = (h.c).g."""
-    report = check_module_algebra("left", hopf, alg, act_left)
-    if not report.passed:
-        return report
-    report.absorb(check_module_algebra("right", hopf, alg, act_right))
-    if not report.passed:
-        return report
-    one = alg.field.one
-    for h in range(hopf.dim):
-        for g in range(hopf.dim):
-            for c in range(alg.dim):
-                lhs = act_left.act_sv({h: one}, act_right.act_basis(g, c))
-                rhs = act_right.act_sv({g: one}, act_left.act_basis(h, c))
-                report.checked += 1
-                if lhs != rhs:
-                    report.fail("bimodule-actions-commute", (h, g, c), lhs, rhs)
-                    return report
-    return report
+
+    def items():
+        yield from module_algebra_items("left", hopf, alg, act_left)
+        yield from module_algebra_items("right", hopf, alg, act_right)
+        one = alg.field.one
+        for h in range(hopf.dim):
+            for g in range(hopf.dim):
+                for c in range(alg.dim):
+                    yield (1, "bimodule-actions-commute", (h, g, c),
+                           act_left.act_sv({h: one}, act_right.act_basis(g, c)),
+                           act_right.act_sv({g: one}, act_left.act_basis(h, c)))
+
+    return certify_exhaustive(items())
 
 
 def bicomodule_to_module(left_co, right_co, hopf):
@@ -368,50 +351,44 @@ def comodule_algebra_map(hopf):
     cols = [rho_basis(t) for t in range(n)]
     lm = LinearMap.from_columns(field, n, n ** 3, cols)
 
-    report = CheckReport()
-    # coassociativity and counit as a right comodule over `big`
-    for t in range(n):
-        lhs, rhs = {}, {}
-        for key, w in cols[t].items():
-            v, d = divmod(key, n * n)
-            for key2, w2 in cols[v].items():
-                v2, d2 = divmod(key2, n * n)
-                k = (v2, d2, d)
-                lhs[k] = lhs.get(k, 0) + w * w2
-            for d1, d2, w2 in big.coalgebra.delta(d):
-                k = (v, d1, d2)
-                rhs[k] = rhs.get(k, 0) + w * w2
-        if sv_canon(field, lhs) != sv_canon(field, rhs):
-            report.fail("comodule-coassoc", (t,), sv_canon(field, lhs),
-                        sv_canon(field, rhs))
-            return lm, report
-        counit_applied = {}
-        for key, w in cols[t].items():
-            v, d = divmod(key, n * n)
-            counit_applied[v] = counit_applied.get(v, 0) + w * big.coalgebra.counit[d]
-        if sv_canon(field, counit_applied) != {t: field.one}:
-            report.fail("comodule-counit", (t,),
-                        sv_canon(field, counit_applied), {t: field.one})
-            return lm, report
-        report.checked += 1
-    # algebra map into H* (x) big with componentwise product
-    for i in range(n):
-        for j in range(n):
-            lhs = {}
-            for k, c in dual.algebra.mul_basis(i, j).items():
-                sv_add_into(lhs, cols[k], c)
-            rhs = {}
-            for key1, w1 in cols[i].items():
-                v1, d1 = divmod(key1, n * n)
-                for key2, w2 in cols[j].items():
+    def items():
+        # coassociativity and counit as a right comodule over `big`
+        for t in range(n):
+            lhs, rhs = {}, {}
+            for key, w in cols[t].items():
+                v, d = divmod(key, n * n)
+                for key2, w2 in cols[v].items():
                     v2, d2 = divmod(key2, n * n)
-                    for v, cv in dual.algebra.mul_basis(v1, v2).items():
-                        for d, cd in big.algebra.mul_basis(d1, d2).items():
-                            key = v * n * n + d
-                            rhs[key] = rhs.get(key, 0) + w1 * w2 * cv * cd
-            report.checked += 1
-            if sv_canon(field, lhs) != sv_canon(field, rhs):
-                report.fail("comodule-algebra-map", (i, j),
-                            sv_canon(field, lhs), sv_canon(field, rhs))
-                return lm, report
-    return lm, report
+                    k = (v2, d2, d)
+                    lhs[k] = lhs.get(k, 0) + w * w2
+                for d1, d2, w2 in big.coalgebra.delta(d):
+                    k = (v, d1, d2)
+                    rhs[k] = rhs.get(k, 0) + w * w2
+            yield (0, "comodule-coassoc", (t,), sv_canon(field, lhs),
+                   sv_canon(field, rhs))
+            counit_applied = {}
+            for key, w in cols[t].items():
+                v, d = divmod(key, n * n)
+                counit_applied[v] = (counit_applied.get(v, 0)
+                                     + w * big.coalgebra.counit[d])
+            yield (1, "comodule-counit", (t,),
+                   sv_canon(field, counit_applied), {t: field.one})
+        # algebra map into H* (x) big with componentwise product
+        for i in range(n):
+            for j in range(n):
+                lhs = {}
+                for k, c in dual.algebra.mul_basis(i, j).items():
+                    sv_add_into(lhs, cols[k], c)
+                rhs = {}
+                for key1, w1 in cols[i].items():
+                    v1, d1 = divmod(key1, n * n)
+                    for key2, w2 in cols[j].items():
+                        v2, d2 = divmod(key2, n * n)
+                        for v, cv in dual.algebra.mul_basis(v1, v2).items():
+                            for d, cd in big.algebra.mul_basis(d1, d2).items():
+                                key = v * n * n + d
+                                rhs[key] = rhs.get(key, 0) + w1 * w2 * cv * cd
+                yield (1, "comodule-algebra-map", (i, j), sv_canon(field, lhs),
+                       sv_canon(field, rhs))
+
+    return lm, certify_exhaustive(items())

@@ -19,15 +19,15 @@ are verified by `verify_action_correspondence`.
 from dataclasses import dataclass
 
 from .actions import (ActionData, CoactionData, bicomodule_legs,
-                      bicomodule_to_module, check_bicomodule_coherence,
-                      check_coaction_axioms, check_module_axioms)
-from .algebra import random_dense_vector
+                      bicomodule_to_module, coaction_items, coherence_items,
+                      module_items)
+from .algebra import dual_hopf, random_dense_vector
 from .crossed import (LAYOUTS, StandardTriple, diagonal_crossed,
                       two_sided_crossed)
 from .errors import DimensionMismatchError
 from .isos import build_iso
 from .linalg import sv_add_into, sv_canon, sv_from_list
-from .report import CheckReport, MORPHISM_DIM_CAP, certify
+from .report import MORPHISM_DIM_CAP, certify, certify_exhaustive
 
 
 @dataclass
@@ -54,37 +54,29 @@ class TripleModuleData:
 
 def check_hopf_bimodule(module, hopf):
     """Bimodule + bicomodule + the four action/coaction compatibilities."""
-    from .algebra import dual_hopf
-    dual = dual_hopf(hopf)
     n = hopf.dim
-    m_dim = module.space_dim
-    field = module.field
     if module.left_act.actor_dim != n or module.right_act.actor_dim != n:
         raise DimensionMismatchError("actions must be by the dual of H")
-    report = check_module_axioms(module.left_act, dual.algebra)
-    if not report.passed:
-        return report
-    report.absorb(check_module_axioms(module.right_act, dual.algebra))
-    if not report.passed:
-        return report
-    one = field.one
+    return certify_exhaustive(_hopf_bimodule_items(module, dual_hopf(hopf)))
+
+
+def _hopf_bimodule_items(module, dual):
     la, ra = module.left_act, module.right_act
+    yield from module_items(la, dual.algebra)
+    yield from module_items(ra, dual.algebra)
+    n = dual.dim
+    m_dim = module.space_dim
+    field = module.field
+    one = field.one
     for p in range(n):
         for q in range(n):
             for j in range(m_dim):
-                lhs = ra.act_sv({q: one}, la.act_basis(p, j))
-                rhs = la.act_sv({p: one}, ra.act_basis(q, j))
-                report.checked += 1
-                if lhs != rhs:
-                    report.fail("bimodule-commute", (p, q, j), lhs, rhs)
-                    return report
+                yield (1, "bimodule-commute", (p, q, j),
+                       ra.act_sv({q: one}, la.act_basis(p, j)),
+                       la.act_sv({p: one}, ra.act_basis(q, j)))
     for co in (module.left_co, module.right_co):
-        report.absorb(check_coaction_axioms(co, dual.coalgebra))
-        if not report.passed:
-            return report
-    report.absorb(check_bicomodule_coherence(module.left_co, module.right_co))
-    if not report.passed:
-        return report
+        yield from coaction_items(co, dual.coalgebra)
+    yield from coherence_items(module.left_co, module.right_co)
 
     # the four compatibilities, as elements of D (x) M or M (x) D: the
     # coaction of p.m or m.p against sum (leg x times m's coaction leg c,
@@ -110,12 +102,8 @@ def check_hopf_bimodule(module, hopf):
                             for k2, ck in act.act_basis(y, k).items():
                                 key = (c2, k2)
                                 rhs[key] = rhs.get(key, 0) + cp * w * cc * ck
-                lhs, rhs = sv_canon(field, lhs), sv_canon(field, rhs)
-                report.checked += 1
-                if lhs != rhs:
-                    report.fail(axiom, (p, j), lhs, rhs)
-                    return report
-    return report
+                yield (1, axiom, (p, j), sv_canon(field, lhs),
+                       sv_canon(field, rhs))
 
 
 def _co_of_sv(coaction, space_sv):
@@ -134,7 +122,6 @@ def example_bimodule(hopf, kind, v_dim=1):
     Delta to both outer slots and multiply the outer legs together, the
     middle slot staying inert.
     """
-    from .algebra import dual_hopf
     dual = dual_hopf(hopf)
     n = hopf.dim
     field = hopf.field
@@ -361,6 +348,21 @@ def triple_from_bimodule(module, hopf, setup=None):
     return TripleModuleData(module.space_dim, module.left_act, h_act, b_act)
 
 
+def c_action_from_bimodule(module):
+    """(p (x) q).m = p.m.q: the left action of C = D (x) D^op on the module."""
+    n = module.left_act.actor_dim
+    one = module.field.one
+    tensor = {}
+    for p in range(n):
+        for q in range(n):
+            for j in range(module.space_dim):
+                sv = module.left_act.act_sv(
+                    {p: one}, module.right_act.act_basis(q, j))
+                if sv:
+                    tensor[(p * n + q, j)] = sv
+    return ActionData(module.field, n * n, module.space_dim, "left", tensor)
+
+
 def assemble_two_sided_action(triple, a_dim, h_dim, b_dim):
     """(a # h # b).m = a.(h.(b.m)) as an explicit action tensor."""
     field = triple.a_act.field
@@ -389,121 +391,99 @@ def triple_module_roundtrip(triple, a_alg, hopf_mid, b_alg, act_left_a,
     and that restricting along the three embeddings recovers the inputs.
     `handle` is A # H # B as `two_sided_crossed` builds it from these
     arguments, when the caller has one already; it is built otherwise.
+    The conditions and restrictions are exhaustive; the module axiom
+    runs in `mode`, and the report records that mode.
     """
-    field = triple.a_act.field
-    one = field.one
-    report = CheckReport()
-    m_dim = triple.space_dim
-    da, dh, db = a_alg.dim, hopf_mid.dim, b_alg.dim
-    a_act, h_act, b_act = triple.a_act, triple.h_act, triple.b_act
-
-    for a in range(da):
-        for b in range(db):
-            for j in range(m_dim):
-                lhs = b_act.act_sv({b: one}, a_act.act_basis(a, j))
-                rhs = a_act.act_sv({a: one}, b_act.act_basis(b, j))
-                report.checked += 1
-                if lhs != rhs:
-                    report.fail("condition-i", (a, b, j), lhs, rhs)
-                    return report
-    s_inv = hopf_mid.antipode_inv_col
-    for b in range(db):
-        for h in range(dh):
-            dl = hopf_mid.coalgebra.delta(h)
-            for j in range(m_dim):
-                lhs = b_act.act_sv({b: one}, h_act.act_basis(h, j))
-                acc = {}
-                for h1, h2, c in dl:
-                    moved = act_right_b.act_basis(h2, b)
-                    inner = b_act.act_sv(moved, {j: one})
-                    for k, ck in h_act.act_sv({h1: one}, inner).items():
-                        acc[k] = acc.get(k, 0) + c * ck
-                rhs = sv_canon(field, acc)
-                report.checked += 1
-                if lhs != rhs:
-                    report.fail("condition-ii", (b, h, j), lhs, rhs)
-                    return report
-                # equivalent form: h.(b.m) = sum (b.S^-1(h2)).(h1.m)
-                lhs = h_act.act_sv({h: one}, b_act.act_basis(b, j))
-                acc = {}
-                for h1, h2, c in dl:
-                    moved = act_right_b.act_sv(s_inv(h2), {b: one})
-                    for k, ck in b_act.act_sv(moved,
-                                              h_act.act_basis(h1, j)).items():
-                        acc[k] = acc.get(k, 0) + c * ck
-                rhs = sv_canon(field, acc)
-                report.checked += 1
-                if lhs != rhs:
-                    report.fail("condition-ii-inverse-form", (b, h, j), lhs, rhs)
-                    return report
-    for h in range(dh):
-        dl = hopf_mid.coalgebra.delta(h)
-        for a in range(da):
-            for j in range(m_dim):
-                lhs = h_act.act_sv({h: one}, a_act.act_basis(a, j))
-                acc = {}
-                for h1, h2, c in dl:
-                    moved = act_left_a.act_basis(h1, a)
-                    for k, ck in a_act.act_sv(moved,
-                                              h_act.act_basis(h2, j)).items():
-                        acc[k] = acc.get(k, 0) + c * ck
-                rhs = sv_canon(field, acc)
-                report.checked += 1
-                if lhs != rhs:
-                    report.fail("condition-iii", (h, a, j), lhs, rhs)
-                    return report
-                # equivalent form: a.(h.m) = sum h2.((S^-1(h1).a).m)
-                lhs = a_act.act_sv({a: one}, h_act.act_basis(h, j))
-                acc = {}
-                for h1, h2, c in dl:
-                    moved = act_left_a.act_sv(s_inv(h1), {a: one})
-                    inner = a_act.act_sv(moved, {j: one})
-                    for k, ck in h_act.act_sv({h2: one}, inner).items():
-                        acc[k] = acc.get(k, 0) + c * ck
-                rhs = sv_canon(field, acc)
-                report.checked += 1
-                if lhs != rhs:
-                    report.fail("condition-iii-inverse-form", (h, a, j), lhs, rhs)
-                    return report
-
+    dims = (a_alg.dim, hopf_mid.dim, b_alg.dim)
+    conditions = certify_exhaustive(_triple_condition_items(
+        triple, dims, hopf_mid, act_left_a, act_right_b))
+    if not conditions.passed:
+        return conditions
     if handle is None:
         handle = two_sided_crossed(a_alg, hopf_mid, b_alg, act_left_a,
                                    act_right_b, verify=False)
-    assembled = assemble_two_sided_action(triple, da, dh, db)
-    report.absorb(check_module_over_handle(handle, assembled, mode))
-    if not report.passed:
-        return report
-
-    unit_a = a_alg.unit_sv()
-    unit_h = hopf_mid.algebra.unit_sv()
-    unit_b = b_alg.unit_sv()
-    for j in range(m_dim):
-        m = {j: one}
-        for a in range(da):
-            emb = _embed3({a: one}, unit_h, unit_b, dh, db)
-            got = assembled.act_sv(emb, m)
-            want = a_act.act_basis(a, j)
-            report.checked += 1
-            if got != want:
-                report.fail("restriction-A", (a, j), got, want)
-                return report
-        for h in range(dh):
-            emb = _embed3(unit_a, {h: one}, unit_b, dh, db)
-            got = assembled.act_sv(emb, m)
-            want = h_act.act_basis(h, j)
-            report.checked += 1
-            if got != want:
-                report.fail("restriction-H", (h, j), got, want)
-                return report
-        for b in range(db):
-            emb = _embed3(unit_a, unit_h, {b: one}, dh, db)
-            got = assembled.act_sv(emb, m)
-            want = b_act.act_basis(b, j)
-            report.checked += 1
-            if got != want:
-                report.fail("restriction-B", (b, j), got, want)
-                return report
+    assembled = assemble_two_sided_action(triple, *dims)
+    report = check_module_over_handle(handle, assembled, mode)
+    report.absorb(conditions)
+    if report.passed:
+        units = (a_alg.unit_sv(), hopf_mid.algebra.unit_sv(), b_alg.unit_sv())
+        report.absorb(certify_exhaustive(
+            _restriction_items(triple, assembled, units, dims)))
     return report
+
+
+def _triple_condition_items(triple, dims, hopf_mid, act_left_a, act_right_b):
+    field = triple.a_act.field
+    one = field.one
+    m_dim = triple.space_dim
+    a_act, h_act, b_act = triple.a_act, triple.h_act, triple.b_act
+    da, dh, db = dims
+    for a in range(da):
+        for b in range(db):
+            for j in range(m_dim):
+                yield (1, "condition-i", (a, b, j),
+                       b_act.act_sv({b: one}, a_act.act_basis(a, j)),
+                       a_act.act_sv({a: one}, b_act.act_basis(b, j)))
+    s_inv = hopf_mid.antipode_inv_col
+    # (ii) on B over (b, h, j) and (iii) on A over (h, a, j), each with its
+    # S^-1 form: x in B or A is moved by one coproduct leg of h and the
+    # other leg acts on m.  A row is (axiom, x acts last on the left-hand
+    # side, moving leg, moved through S^-1); the right-hand side acts in
+    # the other order.
+    #   (ii)        b.(h.m) = sum h1.((b <- h2).m)
+    #   (ii) S^-1   h.(b.m) = sum (b <- S^-1(h2)).(h1.m)
+    #   (iii)       h.(a.m) = sum (h1 -> a).(h2.m)
+    #   (iii) S^-1  a.(h.m) = sum h2.((S^-1(h1) -> a).m)
+    blocks = (
+        (b_act, act_right_b,
+         [(x, h, (x, h)) for x in range(db) for h in range(dh)],
+         (("condition-ii", True, 1, False),
+          ("condition-ii-inverse-form", False, 1, True))),
+        (a_act, act_left_a,
+         [(x, h, (h, x)) for h in range(dh) for x in range(da)],
+         (("condition-iii", False, 0, False),
+          ("condition-iii-inverse-form", True, 0, True))))
+    for x_act, mover, pairs, rows in blocks:
+        for x, h, witness in pairs:
+            delta = hopf_mid.coalgebra.delta(h)
+            for j in range(m_dim):
+                for axiom, x_last, leg, inverse in rows:
+                    if x_last:
+                        lhs = x_act.act_sv({x: one}, h_act.act_basis(h, j))
+                    else:
+                        lhs = h_act.act_sv({h: one}, x_act.act_basis(x, j))
+                    acc = {}
+                    for *legs, c in delta:
+                        if inverse:
+                            moved = mover.act_sv(s_inv(legs[leg]), {x: one})
+                        else:
+                            moved = mover.act_basis(legs[leg], x)
+                        other = legs[1 - leg]
+                        if x_last:
+                            out = h_act.act_sv({other: one},
+                                               x_act.act_sv(moved, {j: one}))
+                        else:
+                            out = x_act.act_sv(moved,
+                                               h_act.act_basis(other, j))
+                        sv_add_into(acc, out, c)
+                    yield (1, axiom, (*witness, j), lhs, sv_canon(field, acc))
+
+
+def _restriction_items(triple, assembled, units, dims):
+    """The assembled action restricted along A, H and B is the input."""
+    one = triple.a_act.field.one
+    _, dh, db = dims
+    slots = (("restriction-A", triple.a_act), ("restriction-H", triple.h_act),
+             ("restriction-B", triple.b_act))
+    for j in range(triple.space_dim):
+        m = {j: one}
+        for slot, (axiom, act) in enumerate(slots):
+            for x in range(dims[slot]):
+                factors = list(units)
+                factors[slot] = {x: one}
+                yield (1, axiom, (x, j),
+                       assembled.act_sv(_embed3(*factors, dh, db), m),
+                       act.act_basis(x, j))
 
 
 def _embed3(a_sv, h_sv, b_sv, dh, db):
@@ -521,30 +501,33 @@ def diagonal_module_condition(c_act, h_act, c_alg, hopf_mid, act_left_c,
     (c >< h).m = c.(h.m) is a module over the diagonal crossed product.
 
     `handle` is C >< H as `diagonal_crossed` builds it from these
-    arguments, when the caller has one already; it is built otherwise."""
+    arguments, when the caller has one already; it is built otherwise.
+    The condition is exhaustive; the module axiom runs in `mode`, and
+    the report records that mode."""
     field = c_act.field
     one = field.one
-    report = CheckReport()
     m_dim = c_act.space_dim
     dc, dh = c_alg.dim, hopf_mid.dim
     s_inv = hopf_mid.antipode_inv_col
-    for h in range(dh):
-        d2 = hopf_mid.coalgebra.delta2(h)
-        for c in range(dc):
-            for j in range(m_dim):
-                lhs = h_act.act_sv({h: one}, c_act.act_basis(c, j))
-                acc = {}
-                for h1, h2, h3, w in d2:
-                    moved = act_right_c.act_sv(s_inv(h3),
-                                               act_left_c.act_basis(h1, c))
-                    inner = h_act.act_basis(h2, j)
-                    for k, ck in c_act.act_sv(moved, inner).items():
-                        acc[k] = acc.get(k, 0) + w * ck
-                rhs = sv_canon(field, acc)
-                report.checked += 1
-                if lhs != rhs:
-                    report.fail("diagonal-condition", (h, c, j), lhs, rhs)
-                    return report
+
+    def items():
+        for h in range(dh):
+            d2 = hopf_mid.coalgebra.delta2(h)
+            for c in range(dc):
+                for j in range(m_dim):
+                    acc = {}
+                    for h1, h2, h3, w in d2:
+                        moved = act_right_c.act_sv(s_inv(h3),
+                                                   act_left_c.act_basis(h1, c))
+                        inner = h_act.act_basis(h2, j)
+                        sv_add_into(acc, c_act.act_sv(moved, inner), w)
+                    yield (1, "diagonal-condition", (h, c, j),
+                           h_act.act_sv({h: one}, c_act.act_basis(c, j)),
+                           sv_canon(field, acc))
+
+    condition = certify_exhaustive(items())
+    if not condition.passed:
+        return condition
     if handle is None:
         handle = diagonal_crossed(c_alg, hopf_mid, act_left_c, act_right_c,
                                   verify=False)
@@ -557,8 +540,7 @@ def diagonal_module_condition(c_act, h_act, c_alg, hopf_mid, act_left_c,
                 if sv:
                     tensor[(actor, j)] = sv
     assembled = ActionData(field, dc * dh, m_dim, "left", tensor)
-    report.absorb(check_module_over_handle(handle, assembled, mode))
-    return report
+    return check_module_over_handle(handle, assembled, mode).absorb(condition)
 
 
 def verify_f_correspondence(triple, module, hopf, setup=None, mode=None):

@@ -11,13 +11,14 @@ import argparse
 import hashlib
 import sys
 
-from .algebra import check_algebra_axioms, check_hopf_axioms, trace_form_radical
+from .algebra import (check_algebra_axioms, check_hopf_axioms, dual_hopf,
+                      trace_form_radical)
 from .actions import check_coaction_axioms, check_module_axioms
-from .bimodules import (check_hopf_bimodule, check_module_over_handle,
-                        derived_action, diagonal_module_condition,
-                        example_bimodule, triple_from_bimodule,
-                        triple_module_roundtrip, verify_action_correspondence,
-                        verify_f_correspondence)
+from .bimodules import (c_action_from_bimodule, check_hopf_bimodule,
+                        check_module_over_handle, derived_action,
+                        diagonal_module_condition, example_bimodule,
+                        triple_from_bimodule, triple_module_roundtrip,
+                        verify_action_correspondence, verify_f_correspondence)
 from .catalog import catalog_hopf, parse_catalog_spec
 from .crossed import (StandardTriple, build_xyz, check_handle_axioms,
                       diagonal_crossed, materialize, smash_handles,
@@ -75,6 +76,13 @@ def _parse_catalog(text, field):
         raise FormatError(f"bad --catalog {text!r}: {exc}") from None
 
 
+def _materialize_cap(text):
+    """--materialize-cap as an integer >= 1, rejected while parsing."""
+    if not (text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"want an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _parse_module(text):
     """--module as (kind, v_dim): regular, or free:N with N >= 1."""
     if text == "regular":
@@ -117,7 +125,6 @@ def cmd_check(args):
             return 1
     if doc.module_dim is not None:
         _emit(f"module dim: {doc.module_dim}")
-    from .algebra import dual_hopf
     dual = dual_hopf(doc.hopf) if doc.hopf is not None else None
     for act, by in doc.actions:
         actor = doc.algebra if by == "self" else (dual.algebra if dual else None)
@@ -277,9 +284,8 @@ def cmd_bimodule(args):
                         check_hopf_bimodule(module, hopf), field):
         return 1
     handles = {w: build_xyz(hopf, w, setup) for w in ("X", "Y", "Z")}
-    ls, rs = smash_handles(hopf, setup)
-    handles["left_smash"] = ls
-    handles["right_smash"] = rs
+    handles["left_smash"] = handles["Y"].left
+    handles["right_smash"] = smash_handles(hopf, setup)[1]
     for which in ("X", "Y", "Z", "left_smash", "right_smash"):
         act = derived_action(module, hopf, which, setup)
         rep = check_module_over_handle(handles[which], act, mode)
@@ -295,20 +301,9 @@ def cmd_bimodule(args):
         setup.act_on_dual, setup.act_on_dual_op, mode, handle=handles["Y"])
     if not _report_line("triple roundtrip", rep, field):
         return 1
-    from .actions import ActionData
-    n = setup.n
-    c_tensor = {}
-    for p in range(n):
-        for q in range(n):
-            for j in range(module.space_dim):
-                sv = module.left_act.act_sv(
-                    {p: field.one}, module.right_act.act_basis(q, j))
-                if sv:
-                    c_tensor[(p * n + q, j)] = sv
-    c_act = ActionData(field, n * n, module.space_dim, "left", c_tensor)
     rep = diagonal_module_condition(
-        c_act, triple.h_act, setup.C, setup.K, setup.act_left_C,
-        setup.act_right_C, mode, handle=handles["Z"])
+        c_action_from_bimodule(module), triple.h_act, setup.C, setup.K,
+        setup.act_left_C, setup.act_right_C, mode, handle=handles["Z"])
     if not _report_line("diagonal condition", rep, field):
         return 1
     rep = verify_f_correspondence(triple, module, hopf, setup, mode)
@@ -366,7 +361,8 @@ def make_parser():
                    choices=["X", "Y", "Z", "left-smash", "right-smash",
                             "two-sided", "diagonal"])
     p.add_argument("--input", required=True)
-    p.add_argument("--materialize-cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--materialize-cap", type=_materialize_cap,
+                   default=DEFAULT_CAP)
     p.add_argument("--out")
     p.add_argument("--mode", help="exhaustive or random:N")
     add_seed(p)

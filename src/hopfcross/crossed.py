@@ -287,7 +287,10 @@ def right_smash(hopf, b_alg, act, verify=True, provenance="right_smash"):
 
 def two_sided_crossed(a_alg, hopf, b_alg, act_left, act_right, verify=True,
                       provenance="two_sided"):
-    """A # H # B combining a left action on A and a right action on B."""
+    """A # H # B combining a left action on A and a right action on B.
+
+    The A # H factor it is built over is kept on the handle as `left`.
+    """
     if verify:
         _require(check_module_algebra("left", hopf, a_alg, act_left),
                  "left factor fails its axioms")
@@ -308,8 +311,10 @@ def two_sided_crossed(a_alg, hopf, b_alg, act_left, act_right, verify=True,
     labels = [f"{la}#{lb}" for la in left.basis_labels
               for lb in b_alg.basis_labels]
     unit = sv_tensor(field, [left.unit, b_alg.unit_sv()], [da * dh, db])
-    return twisted_tensor(field, left.basis_product, b_alg.mul_basis, db,
-                          twist, (da, dh, db), labels, unit, provenance)
+    handle = twisted_tensor(field, left.basis_product, b_alg.mul_basis, db,
+                            twist, (da, dh, db), labels, unit, provenance)
+    handle.left = left
+    return handle
 
 
 def diagonal_crossed(c_alg, hopf, act_left, act_right, verify=True,

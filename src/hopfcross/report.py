@@ -1,11 +1,14 @@
 """Check modes and reports shared by every verification routine.
 
 A CheckReport carries a pass/fail flag plus the first violation found
-(axiom name, witness indices, both sides of the failed identity) and a
-count of checked items, so callers can print e.g. "pass (256 pairs)".
-Checks stop at the first violation; reports are deterministic for a
-fixed seed because every iteration order is fixed.  `certify` is the
-one place that chooses between exhaustive and random checking.
+(axiom name, witness indices, both sides of the failed identity), a
+count of checked items, so callers can print e.g. "pass (256 pairs)",
+and the mode the check ran in.  Every checker in the package (except
+the whole-matrix checks of `isos`) is a stream of (count, axiom,
+witness, lhs, rhs) items, and `certify` is the one place that chooses
+between exhaustive and random checking, counts, compares and stops at
+the first violation.  Reports are deterministic for a fixed seed
+because every iteration order is fixed.
 """
 
 from dataclasses import dataclass, field
@@ -137,3 +140,9 @@ def certify(mode, dim, exhaustive, trial, prelude=(), cap=EXHAUSTIVE_DIM_CAP,
             break
     report.checked = checked
     return report
+
+
+def certify_exhaustive(items):
+    """`certify` for a check that is exhaustive at every size: `items` is
+    its whole stream."""
+    return certify(CheckMode.exhaustive(), None, lambda: items, None)

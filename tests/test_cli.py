@@ -269,6 +269,8 @@ def test_bad_mode_is_input_error(cyclic2_file, command, mode):
     (["bimodule", "--module", "bogus"], "--module"),
     (["describe", "--catalog", "cyclic:2", "--field", "x"], "--field"),
     (["describe", "--catalog", "cyclic:x"], "--catalog"),
+    (["build", "--construction", "X", "--materialize-cap", "-5"],
+     "argument --materialize-cap"),
 ])
 def test_bad_option_is_input_error(cyclic2_file, args, option):
     if args[0] == "bimodule":
