@@ -19,8 +19,8 @@ from .actions import (ActionData, CoactionData, bicomodule_to_module,
                       comodule_algebra_map, regular_actions, trivial_action)
 from .crossed import (AlgebraHandle, StandardTriple, build_xyz,
                       check_handle_axioms, diagonal_crossed, left_smash,
-                      materialize, right_smash, smash_handles, standard_triple,
-                      twisted_tensor, two_sided_crossed)
+                      materialize, right_smash, smash_handles, twisted_tensor,
+                      two_sided_crossed)
 from .isos import (build_iso, composition_identity, verify_algebra_morphism,
                    verify_mutually_inverse)
 from .bimodules import (HopfBimoduleData, TripleModuleData,

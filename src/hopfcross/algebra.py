@@ -153,8 +153,7 @@ class HopfAlgebraData:
         return self.algebra.basis_labels
 
     def antipode_map(self):
-        return LinearMap(self.field, self.dim, self.dim,
-                         [row[:] for row in self.antipode])
+        return LinearMap(self.field, self.dim, self.dim, self.antipode)
 
     def antipode_col(self, j):
         zero = self.field.zero
@@ -399,7 +398,7 @@ def variant(hopf, which):
     if which == "op_cop":
         antipode = [row[:] for row in hopf.antipode]
     else:
-        antipode = [row[:] for row in hopf.antipode_inverse().rows]
+        antipode = hopf.antipode_inverse().rows
     return HopfAlgebraData(new_alg, new_coa, antipode)
 
 

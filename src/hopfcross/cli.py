@@ -392,7 +392,10 @@ def make_parser():
 
 def main(argv=None):
     parser = make_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:       # usage errors (2) and --help (0)
+        return exc.code
     try:
         return args.func(args)
     except (FormatError, ValueError, ZeroDivisionError) as exc:

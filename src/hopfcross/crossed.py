@@ -530,10 +530,6 @@ class StandardTriple:
                 for t, s in enumerate(layout)}
 
 
-def standard_triple(hopf, verify=True):
-    return StandardTriple(hopf, verify=verify)
-
-
 # X's R: (p (x) q) (x) (g (x) h) -> sum (g2 (x) h2) (x)
 #        (S^-1(h1) -> p <- S(g1) (x) S(h3) -> q <- S^-1(g3))
 X_TWIST = (3, ("L~", 0), ("R", 2), 1)

@@ -1,13 +1,15 @@
-"""Sparse vectors and dense matrices over an exact field.
+"""Sparse vectors and linear maps over an exact field.
 
 A sparse vector is a plain dict {index: scalar} containing only nonzero,
 canonical entries.  Two canonical sparse vectors are equal iff the dicts
 compare equal (int and integral Fraction values hash and compare alike).
 
-Matrices are dense row-major lists of lists; matrix[r][c] is the
-coefficient of target basis r in the image of source basis c.  The
-multiplication and application kernels skip zero entries, so sparse data
-costs what it should.
+A LinearMap is its sparse columns: column c, the image of source basis
+c, keeps only its nonzero entries, so applying or composing a map costs
+what its nonzero terms cost.  Its dense view `rows`, with rows[r][c] the
+coefficient of target basis r in the image of source basis c, is built
+on demand.  `mat_inv` and `kernel_basis` take dense row-major lists of
+lists.
 """
 
 from .errors import DimensionMismatchError, SingularMatrixError
@@ -50,7 +52,6 @@ def sv_to_list(v, dim):
 
 def sv_tensor(field, parts, dims):
     """Tensor of sparse vectors, flattened left-major: ((i1*d2+i2)*d3+i3)..."""
-    acc = {(): 1} if parts else {}
     flat = {0: 1}
     for part, dim in zip(parts, dims):
         nxt = {}
@@ -79,55 +80,57 @@ def unflatten_index(idx, dims):
 
 
 # ---------------------------------------------------------------------------
-# dense matrices / linear maps
+# linear maps
 
 class LinearMap:
-    """A matrix between based spaces; column j is the image of source basis j."""
+    """A linear map between based spaces, stored as its sparse columns.
+
+    Column j, the image of source basis j, is the flat list
+    [r0, c0, r1, c1, ...] of its nonzero canonical entries in ascending
+    row order.  `rows` is a dense view built on demand.
+    """
 
     def __init__(self, field, src_dim, dst_dim, rows=None):
+        """The map with dense row-major matrix `rows` (the zero map if None)."""
         self.field = field
         self.src_dim = src_dim
         self.dst_dim = dst_dim
+        self._cols = [[] for _ in range(src_dim)]
         if rows is None:
-            rows = [[field.zero] * src_dim for _ in range(dst_dim)]
+            return
         if len(rows) != dst_dim or any(len(r) != src_dim for r in rows):
             raise DimensionMismatchError("matrix shape does not match declared dims")
-        self.rows = rows
-        self._cols = None
-
-    @classmethod
-    def identity(cls, field, n):
-        m = cls(field, n, n)
-        for i in range(n):
-            m.rows[i][i] = field.one
-        return m
+        zero, canon = field.zero, field.canon
+        for r, row in enumerate(rows):
+            for j, c in enumerate(row):
+                c = canon(c)
+                if c != zero:
+                    self._cols[j] += (r, c)
 
     @classmethod
     def from_columns(cls, field, src_dim, dst_dim, col_svs):
+        """The map whose column j is the canonical sparse vector col_svs[j]."""
         m = cls(field, src_dim, dst_dim)
-        for j, col in enumerate(col_svs):
-            for r, c in col.items():
-                m.rows[r][j] = c
+        cols = [[x for r in sorted(col) for x in (r, col[r])] for col in col_svs]
+        if len(cols) != src_dim:
+            raise DimensionMismatchError("column count does not match src_dim")
+        m._cols = cols
         return m
 
+    @property
+    def rows(self):
+        """A fresh dense row-major matrix: rows[r][j] is entry (r, j)."""
+        out = [[self.field.zero] * self.src_dim for _ in range(self.dst_dim)]
+        for j, flat in enumerate(self._cols):
+            for t in range(0, len(flat), 2):
+                out[flat[t]][j] = flat[t + 1]
+        return out
+
     def col_sv(self, j):
-        self._ensure_cols()
         flat = self._cols[j]
         return {flat[t]: flat[t + 1] for t in range(0, len(flat), 2)}
 
-    def _ensure_cols(self):
-        if self._cols is None:
-            zero = self.field.zero
-            cols = [[] for _ in range(self.src_dim)]
-            for r, row in enumerate(self.rows):
-                for j, c in enumerate(row):
-                    if c != zero:
-                        cols[j].append(r)
-                        cols[j].append(c)
-            self._cols = cols
-
     def apply_sv(self, v):
-        self._ensure_cols()
         acc = {}
         for j, x in v.items():
             flat = self._cols[j]
@@ -137,7 +140,6 @@ class LinearMap:
         return sv_canon(self.field, acc)
 
     def apply_dense(self, xs):
-        self._ensure_cols()
         acc = [0] * self.dst_dim
         zero = self.field.zero
         for j, x in enumerate(xs):
@@ -153,43 +155,19 @@ class LinearMap:
         """self o other as maps, i.e. the matrix product self @ other."""
         if other.dst_dim != self.src_dim:
             raise DimensionMismatchError("composition dims do not match")
-        out = LinearMap(self.field, other.src_dim, self.dst_dim)
-        zero = self.field.zero
-        canon = self.field.canon
-        orows = other.rows
-        for r, row in enumerate(self.rows):
-            acc = [0] * other.src_dim
-            hit = False
-            for k, c in enumerate(row):
-                if c == zero:
-                    continue
-                hit = True
-                for j, b in enumerate(orows[k]):
-                    if b != zero:
-                        acc[j] += c * b
-            if hit:
-                out.rows[r] = [canon(v) for v in acc]
-        return out
+        return LinearMap.from_columns(
+            self.field, other.src_dim, self.dst_dim,
+            [self.apply_sv(other.col_sv(j)) for j in range(other.src_dim)])
 
     def equals(self, other):
-        if self.src_dim != other.src_dim or self.dst_dim != other.dst_dim:
-            return False
-        eq = self.field.eq
-        for ra, rb in zip(self.rows, other.rows):
-            for a, b in zip(ra, rb):
-                if not eq(a, b):
-                    return False
-        return True
+        return (self.src_dim == other.src_dim
+                and self.dst_dim == other.dst_dim
+                and self._cols == other._cols)
 
     def is_identity(self):
-        if self.src_dim != self.dst_dim:
-            return False
-        one, eq = self.field.one, self.field.eq
-        for i, row in enumerate(self.rows):
-            for j, c in enumerate(row):
-                if not eq(c, one if i == j else self.field.zero):
-                    return False
-        return True
+        one = self.field.one
+        return (self.src_dim == self.dst_dim
+                and all(flat == [j, one] for j, flat in enumerate(self._cols)))
 
 
 def mat_inv(field, rows):

@@ -3,11 +3,10 @@
 A CheckReport carries a pass/fail flag plus the first violation found
 (axiom name, witness indices, both sides of the failed identity), a
 count of checked items, so callers can print e.g. "pass (256 pairs)",
-and the mode the check ran in.  Every checker in the package (except
-the whole-matrix checks of `isos`) is a stream of (count, axiom,
-witness, lhs, rhs) items, and `certify` is the one place that chooses
-between exhaustive and random checking, counts, compares and stops at
-the first violation.  Reports are deterministic for a fixed seed
+and the mode the check ran in.  Every checker in the package is a
+stream of (count, axiom, witness, lhs, rhs) items, and `certify` is the
+one place that chooses between exhaustive and random checking, counts,
+compares and stops at the first violation.  Reports are deterministic for a fixed seed
 because every iteration order is fixed.
 """
 
