@@ -201,14 +201,9 @@ def check_unit_and_associativity(field, n, unit, unit_dense, product,
             e = {i: one}
             yield 0, "unit-law-left", (i,), product(unit, e), e
             yield 1, "unit-law-right", (i,), product(e, unit), e
-        for i in range(n):
-            ei = {i: one}
-            for j in range(n):
-                ij = basis_product(i, j)
-                for k in range(n):
-                    yield (1, "associativity", (i, j, k),
-                           product(ij, {k: one}),
-                           product(ei, basis_product(j, k)))
+        yield from associativity_blocks(field, n, n, basis_product,
+                                        basis_product, product,
+                                        "associativity")
 
     def trial(rng, t):
         x, y, z = (random_dense_vector(field, rng, n) for _ in range(3))
@@ -220,6 +215,72 @@ def check_unit_and_associativity(field, n, unit, unit_dense, product,
                product_dense(x, product_dense(y, z)))
 
     return certify(mode, n, exhaustive, trial)
+
+
+def associativity_blocks(field, n, m_dim, basis_product, act_basis, act_sv,
+                         axiom):
+    """Items of (e_i e_j).m_t = e_i.(e_j.m_t) for all i, j < n, t < m_dim,
+    one block per left basis index i.
+
+    `basis_product(i, j)` and `act_basis(j, t)` are canonical sparse
+    products of basis elements and `act_sv` acts by a sparse vector;
+    algebra associativity is the case of the regular action.  Block i
+    builds both sides for every (j, t) at once, as canonical sparse dicts
+    keyed by the flattened (j, t, s): the left side runs over the nonzero
+    terms e_i e_j = sum c e_m, then over e_m.m_t; the right side over
+    e_j.m_t = sum c m_u, then over e_i.m_u.  The keys (j, t, s) partition
+    the block, identity (i, j, t) owning the keys with that (j, t), so
+    the two dicts are equal if and only if every one of the n*m_dim
+    identities holds: the check stays exact and exhaustive.
+
+    An equal block is one item of count n*m_dim and witness (i,).  A
+    block that differs is yielded again as its per-(j, t) items, lhs
+    act_sv(e_i e_j, m_t) and rhs act_sv(e_i, e_j.m_t), so the first
+    violation, its witness (i, j, t), both sides and the count are those
+    of the per-triple stream.  The action is read once, up front; the
+    products e_i e_j are read by block i.
+    """
+    one = field.one
+    stride = m_dim * m_dim
+    acts = []          # acts[m] = {t: e_m.m_t}, nonzero only
+    for m in range(n):
+        row = {}
+        for t in range(m_dim):
+            out = act_basis(m, t)
+            if out:
+                row[t] = out
+        acts.append(row)
+    # every nonzero term e_j.m_t = c m_u, as (flattened (j, t, 0), u, c)
+    steps = [((j * m_dim + t) * m_dim, u, c)
+             for j in range(n) for t, out in acts[j].items()
+             for u, c in out.items()]
+    for i in range(n):
+        left, right = {}, {}
+        for j in range(n):
+            base = j * stride
+            for m, c in basis_product(i, j).items():
+                for t, out in acts[m].items():
+                    at = base + t * m_dim
+                    for s, c2 in out.items():
+                        key = at + s
+                        left[key] = left.get(key, 0) + c * c2
+        row = acts[i]
+        for at, u, c in steps:
+            out = row.get(u)
+            if out:
+                for s, c2 in out.items():
+                    key = at + s
+                    right[key] = right.get(key, 0) + c * c2
+        left, right = sv_canon(field, left), sv_canon(field, right)
+        if left == right:
+            yield n * m_dim, axiom, (i,), left, right
+            continue
+        ei = {i: one}
+        for j in range(n):
+            ij = basis_product(i, j)
+            for t in range(m_dim):
+                yield (1, axiom, (i, j, t), act_sv(ij, {t: one}),
+                       act_sv(ei, act_basis(j, t)))
 
 
 def check_coalgebra_axioms(coa):
@@ -469,15 +530,22 @@ def trace_form_radical(alg):
     n = alg.dim
     field = alg.field
 
-    # trace(L_i L_j) = sum_t coefficient of e_t in e_i (e_j e_t)
-    gram = [[0] * n for _ in range(n)]
+    # trace(L_i L_j) = sum_t coefficient of e_t in e_i (e_j e_t): a sum
+    # over the nonzero e_j e_t = c e_s of c * (coefficient of e_t in e_i e_s)
+    terms = [[] for _ in range(n)]      # j -> [(s, t, c)]
+    for (j, t), entries in alg.mult.items():
+        for s, c in entries.items():
+            terms[j].append((s, t, c))
+    gram = []
     for i in range(n):
+        back = {(t, s): c for s, t, c in terms[i]}   # e_t in e_i e_s
+        row = []
         for j in range(n):
             acc = 0
-            for t in range(n):
-                for s, c in alg.mul_basis(j, t).items():
-                    c2 = alg.mul_basis(i, s).get(t)
-                    if c2 is not None:
-                        acc += c * c2
-            gram[i][j] = field.canon(acc)
+            for s, t, c in terms[j]:
+                c2 = back.get((s, t))
+                if c2 is not None:
+                    acc += c * c2
+            row.append(field.canon(acc))
+        gram.append(row)
     return kernel_basis(field, gram)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .actions import (ActionData, CoactionData, bicomodule_legs,
                       bicomodule_to_module, coaction_items, coherence_items,
                       module_items)
-from .algebra import dual_hopf, random_dense_vector
+from .algebra import associativity_blocks, dual_hopf, random_dense_vector
 from .crossed import (LAYOUTS, StandardTriple, diagonal_crossed,
                       two_sided_crossed)
 from .errors import DimensionMismatchError
@@ -262,14 +262,9 @@ def check_module_over_handle(handle, act, mode=None):
     one = field.one
 
     def exhaustive():
-        for i in range(handle.dim):
-            ei = {i: one}
-            for j in range(handle.dim):
-                prod = handle.basis_product(i, j)
-                for t in range(act.space_dim):
-                    yield (1, "module-assoc", (i, j, t),
-                           act.act_sv(prod, {t: one}),
-                           act.act_sv(ei, act.act_basis(j, t)))
+        return associativity_blocks(field, handle.dim, act.space_dim,
+                                    handle.basis_product, act.act_basis,
+                                    act.act_sv, "module-assoc")
 
     def trial(rng, t):
         x = sv_from_list(field, random_dense_vector(field, rng, handle.dim))

@@ -26,7 +26,7 @@ from .crossed import (StandardTriple, build_xyz, check_handle_axioms,
 from .errors import FormatError
 from .fields import PrimeField, QQ
 from .hopf_json import (algebra_to_json, field_to_json, load_document,
-                        save_document)
+                        save_document, save_document_by_rows)
 from .isos import (build_iso, composition_identity, verify_algebra_morphism,
                    verify_mutually_inverse)
 from .report import CheckMode
@@ -252,15 +252,16 @@ def cmd_iso(args):
                             field, unit="entries"):
             return 1
     if args.out:
-        doc_out = {
+        head = {
             "kind": args.kind,
             "src": src_name,
             "dst": dst_name,
             "src_dim": forward.src_dim,
             "dst_dim": forward.dst_dim,
-            "matrix": [[field.fmt(c) for c in row] for row in forward.rows],
         }
-        save_document(args.out, doc_out)
+        save_document_by_rows(args.out, head, "matrix",
+                              ([field.fmt(c) for c in row]
+                               for row in forward.iter_rows()))
         _emit(f"matrix: wrote {args.out}")
     return 0
 

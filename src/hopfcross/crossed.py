@@ -354,7 +354,8 @@ class StandardTriple:
     and their tensor product C = D (x) D^op, a K-bimodule algebra.
     Arrow tables (matrices of e_u -> . <- e_v on the dual basis) and the
     slot-move tables are cached here and shared by the product builders,
-    the isomorphisms and the module-action code.
+    the isomorphisms and the module-action code; `isos` keeps each map
+    `isos.build_iso` has built on this triple, by kind.
     """
 
     def __init__(self, hopf, verify=True):
@@ -371,6 +372,7 @@ class StandardTriple:
         self._moves = {}
         self._coproducts = {}
         self._rules = {}
+        self.isos = {}
 
         n = self.n
         field = self.field

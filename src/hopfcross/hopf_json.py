@@ -310,3 +310,16 @@ def dump_json(doc):
 def save_document(path, doc):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dump_json(doc))
+
+
+def save_document_by_rows(path, head, key, rows):
+    """Write `save_document(path, {**head, key: list(rows)})` byte for byte,
+    encoding the rows, lists of strings, one at a time."""
+    text = json.dumps({**head, key: []}, indent=1)
+    sep = "\n  "
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text[:-len("]\n}")])
+        for row in rows:
+            fh.write(sep + json.dumps(row, indent=1).replace("\n", "\n  "))
+            sep = ",\n  "
+        fh.write(("]" if sep == "\n  " else "\n ]") + "\n}\n")

@@ -53,11 +53,23 @@ ISO_KINDS = tuple(ISO_SPECS)
 
 
 def build_iso(kind, hopf, setup=None):
-    """The matrix of one of phi/alpha/beta/f or an inverse, on full bases."""
+    """The matrix of one of phi/alpha/beta/f or an inverse, on full bases.
+
+    Each kind is built once per `StandardTriple` and kept in its `isos`
+    table, which later calls read first.
+    """
     if kind not in ISO_SPECS:
         raise ValueError(f"unknown isomorphism kind {kind!r}")
     if setup is None:
         setup = StandardTriple(hopf)
+    lm = setup.isos.get(kind)
+    if lm is None:
+        lm = setup.isos[kind] = _assemble(kind, setup)
+    return lm
+
+
+def _assemble(kind, setup):
+    """Evaluate the row of `ISO_SPECS` for `kind`, column by column."""
     src, dst, *rule = ISO_SPECS[kind]
     n = setup.n
     n4 = n ** 4

@@ -8,8 +8,8 @@ A LinearMap is its sparse columns: column c, the image of source basis
 c, keeps only its nonzero entries, so applying or composing a map costs
 what its nonzero terms cost.  Its dense view `rows`, with rows[r][c] the
 coefficient of target basis r in the image of source basis c, is built
-on demand.  `mat_inv` and `kernel_basis` take dense row-major lists of
-lists.
+on demand, whole or one row at a time by `iter_rows`.  `mat_inv` and
+`kernel_basis` take dense row-major lists of lists.
 """
 
 from .errors import DimensionMismatchError, SingularMatrixError
@@ -120,11 +120,20 @@ class LinearMap:
     @property
     def rows(self):
         """A fresh dense row-major matrix: rows[r][j] is entry (r, j)."""
-        out = [[self.field.zero] * self.src_dim for _ in range(self.dst_dim)]
+        return list(self.iter_rows())
+
+    def iter_rows(self):
+        """The dense rows in order, one fresh list at a time; only the
+        nonzero entries are held between rows."""
+        by_row = [[] for _ in range(self.dst_dim)]
         for j, flat in enumerate(self._cols):
             for t in range(0, len(flat), 2):
-                out[flat[t]][j] = flat[t + 1]
-        return out
+                by_row[flat[t]] += (j, flat[t + 1])
+        for flat in by_row:
+            row = [self.field.zero] * self.src_dim
+            for t in range(0, len(flat), 2):
+                row[flat[t]] = flat[t + 1]
+            yield row
 
     def col_sv(self, j):
         flat = self._cols[j]
