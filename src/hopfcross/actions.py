@@ -16,7 +16,8 @@ element of H" is coefficient extraction.
 
 from dataclasses import dataclass
 
-from .algebra import dual_hopf, tensor_algebra, tensor_hopf, variant
+from .algebra import (associativity_blocks, dual_hopf, tensor_algebra,
+                      tensor_hopf, variant)
 from .errors import DimensionMismatchError, UnverifiedActionError
 from .linalg import LinearMap, sv_add_into, sv_canon
 from .report import certify_exhaustive
@@ -85,7 +86,8 @@ def check_module_axioms(act, actor_alg):
 
 
 def module_items(act, actor_alg):
-    """Items of `check_module_axioms`, for the checks that chain it."""
+    """Items of `check_module_axioms`, for the checks that chain it: the
+    unit law per basis element, then `associativity_blocks`."""
     if act.actor_dim != actor_alg.dim:
         raise DimensionMismatchError("actor dim does not match algebra dim")
     one = act.field.one
@@ -93,19 +95,9 @@ def module_items(act, actor_alg):
     for j in range(act.space_dim):
         m = {j: one}
         yield 1, "module-unit", (j,), act.act_sv(unit, m), m
-    axiom = f"module-assoc-{act.side}"
-    for a in range(act.actor_dim):
-        ea = {a: one}
-        for b in range(act.actor_dim):
-            ab = actor_alg.mul_basis(a, b)
-            eb = {b: one}
-            for j in range(act.space_dim):
-                m = {j: one}
-                if act.side == "left":
-                    rhs = act.act_sv(ea, act.act_sv(eb, m))
-                else:
-                    rhs = act.act_sv(eb, act.act_sv(ea, m))
-                yield 1, axiom, (a, b, j), act.act_sv(ab, m), rhs
+    yield from associativity_blocks(act.field, act.actor_dim, act.space_dim,
+                                    actor_alg.mul_basis, act.act_basis,
+                                    act.side, f"module-assoc-{act.side}")
 
 
 def check_module_algebra(side, hopf, alg, act):

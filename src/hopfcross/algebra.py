@@ -115,7 +115,7 @@ class CoalgebraData:
             self._delta2[i] = cached
         return cached
 
-    def delta_sv(self, v, pair_dim=None):
+    def delta_sv(self, v):
         """Delta applied to a sparse vector, flattened over dim*dim."""
         n = self.dim
         acc = {}
@@ -202,7 +202,7 @@ def check_unit_and_associativity(field, n, unit, unit_dense, product,
             yield 0, "unit-law-left", (i,), product(unit, e), e
             yield 1, "unit-law-right", (i,), product(e, unit), e
         yield from associativity_blocks(field, n, n, basis_product,
-                                        basis_product, product,
+                                        basis_product, "left",
                                         "associativity")
 
     def trial(rng, t):
@@ -217,32 +217,34 @@ def check_unit_and_associativity(field, n, unit, unit_dense, product,
     return certify(mode, n, exhaustive, trial)
 
 
-def associativity_blocks(field, n, m_dim, basis_product, act_basis, act_sv,
+def associativity_blocks(field, n, m_dim, basis_product, act_basis, side,
                          axiom):
-    """Items of (e_i e_j).m_t = e_i.(e_j.m_t) for all i, j < n, t < m_dim,
-    one block per left basis index i.
+    """Items of (e_i e_j).m_t = e_i.(e_j.m_t) for a left action, or of
+    m_t.(e_i e_j) = (m_t.e_i).e_j for a right one, for all i, j < n and
+    t < m_dim, one block per first actor index i.
 
     `basis_product(i, j)` and `act_basis(j, t)` are canonical sparse
-    products of basis elements and `act_sv` acts by a sparse vector;
-    algebra associativity is the case of the regular action.  Block i
-    builds both sides for every (j, t) at once, as canonical sparse dicts
-    keyed by the flattened (j, t, s): the left side runs over the nonzero
-    terms e_i e_j = sum c e_m, then over e_m.m_t; the right side over
-    e_j.m_t = sum c m_u, then over e_i.m_u.  The keys (j, t, s) partition
-    the block, identity (i, j, t) owning the keys with that (j, t), so
-    the two dicts are equal if and only if every one of the n*m_dim
-    identities holds: the check stays exact and exhaustive.
+    products of basis elements, the action in the order of `side`;
+    algebra associativity is the case of the left regular action.
+    Block i builds both sides for every (j, t) at once, as canonical
+    sparse dicts keyed by the flattened (j, t, s): one side runs over
+    the nonzero terms e_i e_j = sum c e_m, then over e_m acting on m_t;
+    the other acts on m_t by e_j then e_i (left) or e_i then e_j
+    (right), the second through the nonzero terms c m_u of the first.
+    The keys (j, t, s) partition the block, identity (i, j, t) owning
+    the keys with that (j, t), so the two dicts are equal if and only if
+    every one of the n*m_dim identities holds: the check stays exact and
+    exhaustive.
 
-    An equal block is one item of count n*m_dim and witness (i,).  A
-    block that differs is yielded again as its per-(j, t) items, lhs
-    act_sv(e_i e_j, m_t) and rhs act_sv(e_i, e_j.m_t), so the first
-    violation, its witness (i, j, t), both sides and the count are those
-    of the per-triple stream.  The action is read once, up front; the
-    products e_i e_j are read by block i.
+    An equal block is one item of count n*m_dim and witness (i,).  In a
+    block that differs, the smallest differing key names the first
+    failing identity (i, j, t): one item of count j*m_dim + t + 1 whose
+    sides are the two dicts restricted to that (j, t), keyed by s.  So
+    the report is that of the per-triple stream.  The action is read
+    once, up front; the products e_i e_j are read by block i.
     """
-    one = field.one
     stride = m_dim * m_dim
-    acts = []          # acts[m] = {t: e_m.m_t}, nonzero only
+    acts = []          # acts[m] = {t: e_m acting on m_t}, nonzero only
     for m in range(n):
         row = {}
         for t in range(m_dim):
@@ -250,10 +252,17 @@ def associativity_blocks(field, n, m_dim, basis_product, act_basis, act_sv,
             if out:
                 row[t] = out
         acts.append(row)
-    # every nonzero term e_j.m_t = c m_u, as (flattened (j, t, 0), u, c)
-    steps = [((j * m_dim + t) * m_dim, u, c)
-             for j in range(n) for t, out in acts[j].items()
-             for u, c in out.items()]
+    if side == "left":
+        # every nonzero term e_j.m_t = c m_u, as (flattened (j, t, 0), u, c)
+        steps = [((j * m_dim + t) * m_dim, u, c)
+                 for j in range(n) for t, out in acts[j].items()
+                 for u, c in out.items()]
+    else:
+        # by_u[u] = [(flattened (j, 0, 0), m_u.e_j)], nonzero only
+        by_u = [[] for _ in range(m_dim)]
+        for j in range(n):
+            for u, out in acts[j].items():
+                by_u[u].append((j * stride, out))
     for i in range(n):
         left, right = {}, {}
         for j in range(n):
@@ -265,22 +274,32 @@ def associativity_blocks(field, n, m_dim, basis_product, act_basis, act_sv,
                         key = at + s
                         left[key] = left.get(key, 0) + c * c2
         row = acts[i]
-        for at, u, c in steps:
-            out = row.get(u)
-            if out:
-                for s, c2 in out.items():
-                    key = at + s
-                    right[key] = right.get(key, 0) + c * c2
+        if side == "left":
+            for at, u, c in steps:
+                out = row.get(u)
+                if out:
+                    for s, c2 in out.items():
+                        key = at + s
+                        right[key] = right.get(key, 0) + c * c2
+        else:
+            for t, first in row.items():
+                for u, c in first.items():
+                    for base, out in by_u[u]:
+                        at = base + t * m_dim
+                        for s, c2 in out.items():
+                            key = at + s
+                            right[key] = right.get(key, 0) + c * c2
         left, right = sv_canon(field, left), sv_canon(field, right)
         if left == right:
             yield n * m_dim, axiom, (i,), left, right
             continue
-        ei = {i: one}
-        for j in range(n):
-            ij = basis_product(i, j)
-            for t in range(m_dim):
-                yield (1, axiom, (i, j, t), act_sv(ij, {t: one}),
-                       act_sv(ei, act_basis(j, t)))
+        jt = min(k for k in left.keys() | right.keys()
+                 if left.get(k) != right.get(k)) // m_dim
+        at = jt * m_dim
+        j, t = divmod(jt, m_dim)
+        yield (jt + 1, axiom, (i, j, t),
+               {k - at: c for k, c in left.items() if k // m_dim == jt},
+               {k - at: c for k, c in right.items() if k // m_dim == jt})
 
 
 def check_coalgebra_axioms(coa):

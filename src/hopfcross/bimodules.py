@@ -264,7 +264,7 @@ def check_module_over_handle(handle, act, mode=None):
     def exhaustive():
         return associativity_blocks(field, handle.dim, act.space_dim,
                                     handle.basis_product, act.act_basis,
-                                    act.act_sv, "module-assoc")
+                                    "left", "module-assoc")
 
     def trial(rng, t):
         x = sv_from_list(field, random_dense_vector(field, rng, handle.dim))
@@ -285,45 +285,54 @@ def verify_action_correspondence(module, hopf, setup=None, mode=None,
     """act_X(x, m) = act_Y(phi x, m) = act_Z(beta x, m), act_Y(y, m) = act_Z(alpha y, m)."""
     if setup is None:
         setup = StandardTriple(hopf)
-    n4 = setup.n ** 4
-    field = setup.field
-    one = field.one
     act_x, act_y, act_z = (derived_action(module, hopf, w, setup)
                            for w in ("X", "Y", "Z"))
     phi, alpha, beta = (build_iso(kind, hopf, setup)
                         for kind in ("phi", "alpha", "beta"))
+    rows = (("correspondence-X-Y", act_x, act_y, phi),
+            ("correspondence-X-Z", act_x, act_z, beta),
+            ("correspondence-Y-Z", act_y, act_z, alpha))
+    return _certify_correspondence(rows, module.space_dim, mode,
+                                   trials=trials, seed=seed)
+
+
+def _certify_correspondence(rows, m_dim, mode, **policy):
+    """act(x, m) = act2(F x, m) for each row (axiom, act, act2, F).
+
+    Exhaustively over basis pairs (e_i, m_t), else on random x and m, as
+    `certify` picks with `policy` (its trials and seed).  The first row
+    counts each pair once and the others count 0; each distinct source
+    action `act` is evaluated once per pair or trial.
+    """
+    field = rows[0][1].field
+    n = rows[0][3].src_dim
+    one = field.one
+
+    def compare(witness, source, images, m):
+        via = {}
+        for r, ((axiom, act, act2, _), image) in enumerate(zip(rows, images)):
+            lhs = via.get(id(act))
+            if lhs is None:
+                lhs = via[id(act)] = source(act)
+            yield int(r == 0), axiom, witness, lhs, act2.act_sv(image, m)
 
     def exhaustive():
-        for i in range(n4):
-            phi_i = phi.col_sv(i)
-            beta_i = beta.col_sv(i)
-            alpha_i = alpha.col_sv(i)
-            for t in range(module.space_dim):
-                m = {t: one}
-                via_x = act_x.act_basis(i, t)
-                yield (1, "correspondence-X-Y", (i, t), via_x,
-                       act_y.act_sv(phi_i, m))
-                yield (0, "correspondence-X-Z", (i, t), via_x,
-                       act_z.act_sv(beta_i, m))
-                yield (0, "correspondence-Y-Z", (i, t), act_y.act_basis(i, t),
-                       act_z.act_sv(alpha_i, m))
+        for i in range(n):
+            images = [F.col_sv(i) for *_, F in rows]
+            for t in range(m_dim):
+                yield from compare((i, t), lambda act: act.act_basis(i, t),
+                                   images, {t: one})
 
     def trial(rng, t):
-        x = random_dense_vector(field, rng, n4)
-        m = sv_from_list(field, random_dense_vector(field, rng,
-                                                    module.space_dim))
+        x = random_dense_vector(field, rng, n)
+        m = sv_from_list(field, random_dense_vector(field, rng, m_dim))
         x_sv = sv_from_list(field, x)
-        via_x = act_x.act_sv(x_sv, m)
-        witness = ("trial", t)
-        yield (1, "correspondence-X-Y", witness, via_x,
-               act_y.act_sv(sv_from_list(field, phi.apply_dense(x)), m))
-        yield (0, "correspondence-X-Z", witness, via_x,
-               act_z.act_sv(sv_from_list(field, beta.apply_dense(x)), m))
-        yield (0, "correspondence-Y-Z", witness, act_y.act_sv(x_sv, m),
-               act_z.act_sv(sv_from_list(field, alpha.apply_dense(x)), m))
+        images = [sv_from_list(field, F.apply_dense(x)) for *_, F in rows]
+        yield from compare(("trial", t), lambda act: act.act_sv(x_sv, m),
+                           images, m)
 
-    return certify(mode, n4, exhaustive, trial, cap=MORPHISM_DIM_CAP,
-                   trials=trials, seed=seed)
+    return certify(mode, n, exhaustive, trial, cap=MORPHISM_DIM_CAP,
+                   **policy)
 
 
 # ---------------------------------------------------------------------------
@@ -345,36 +354,38 @@ def triple_from_bimodule(module, hopf, setup=None):
 
 def c_action_from_bimodule(module):
     """(p (x) q).m = p.m.q: the left action of C = D (x) D^op on the module."""
-    n = module.left_act.actor_dim
-    one = module.field.one
-    tensor = {}
-    for p in range(n):
-        for q in range(n):
-            for j in range(module.space_dim):
-                sv = module.left_act.act_sv(
-                    {p: one}, module.right_act.act_basis(q, j))
-                if sv:
-                    tensor[(p * n + q, j)] = sv
-    return ActionData(module.field, n * n, module.space_dim, "left", tensor)
+    return composite_action((module.left_act, module.right_act),
+                            module.space_dim)
 
 
 def assemble_two_sided_action(triple, a_dim, h_dim, b_dim):
-    """(a # h # b).m = a.(h.(b.m)) as an explicit action tensor."""
-    field = triple.a_act.field
+    """(a # h # b).m = a.(h.(b.m)) as an explicit action tensor; the dims
+    are the actor dims of the triple's three actions."""
+    return composite_action((triple.a_act, triple.h_act, triple.b_act),
+                            triple.space_dim)
+
+
+def composite_action(acts, m_dim):
+    """(x1 (x) ... (x) xk).m = x1.(...(xk.m)) as a left action tensor on the
+    left-major flattened actor basis.
+
+    The factors are folded in innermost first, so each partial image
+    (x_l (x) ... (x) xk).m_j is computed once; like the tensor, the
+    partial images are kept by (flattened suffix actor, j), nonzero only.
+    """
+    field = acts[0].field
     one = field.one
-    tensor = {}
-    for a in range(a_dim):
-        for h in range(h_dim):
-            for b in range(b_dim):
-                actor = (a * h_dim + h) * b_dim + b
-                for j in range(triple.space_dim):
-                    step = triple.b_act.act_basis(b, j)
-                    step = triple.h_act.act_sv({h: one}, step)
-                    step = triple.a_act.act_sv({a: one}, step)
-                    if step:
-                        tensor[(actor, j)] = step
-    return ActionData(field, a_dim * h_dim * b_dim, triple.space_dim, "left",
-                      tensor)
+    tensor, dim = {(0, j): {j: one} for j in range(m_dim)}, 1
+    for act in reversed(acts):
+        folded = {}
+        for x in range(act.actor_dim):
+            ex = {x: one}
+            for (r, j), sv in tensor.items():
+                out = act.act_sv(ex, sv)
+                if out:
+                    folded[(x * dim + r, j)] = out
+        tensor, dim = folded, dim * act.actor_dim
+    return ActionData(field, dim, m_dim, "left", tensor)
 
 
 def triple_module_roundtrip(triple, a_alg, hopf_mid, b_alg, act_left_a,
@@ -526,15 +537,7 @@ def diagonal_module_condition(c_act, h_act, c_alg, hopf_mid, act_left_c,
     if handle is None:
         handle = diagonal_crossed(c_alg, hopf_mid, act_left_c, act_right_c,
                                   verify=False)
-    tensor = {}
-    for c in range(dc):
-        for h in range(dh):
-            actor = c * dh + h
-            for j in range(m_dim):
-                sv = c_act.act_sv({c: one}, h_act.act_basis(h, j))
-                if sv:
-                    tensor[(actor, j)] = sv
-    assembled = ActionData(field, dc * dh, m_dim, "left", tensor)
+    assembled = composite_action((c_act, h_act), m_dim)
     return check_module_over_handle(handle, assembled, mode).absorb(condition)
 
 
@@ -543,26 +546,8 @@ def verify_f_correspondence(triple, module, hopf, setup=None, mode=None):
     if setup is None:
         setup = StandardTriple(hopf)
     n = setup.n
-    field = setup.field
-    one = field.one
-    f_map = build_iso("f", hopf, setup)
     assembled = assemble_two_sided_action(triple, n, n * n, n)
-    z_act = derived_action(module, hopf, "Z", setup)
-    n4 = n ** 4
-
-    def exhaustive():
-        for i in range(n4):
-            fi = f_map.col_sv(i)
-            for t in range(module.space_dim):
-                yield (1, "f-correspondence", (i, t), assembled.act_basis(i, t),
-                       z_act.act_sv(fi, {t: one}))
-
-    def trial(rng, t):
-        x = random_dense_vector(field, rng, n4)
-        m = sv_from_list(field, random_dense_vector(field, rng,
-                                                    module.space_dim))
-        yield (1, "f-correspondence", ("trial", t),
-               assembled.act_sv(sv_from_list(field, x), m),
-               z_act.act_sv(sv_from_list(field, f_map.apply_dense(x)), m))
-
-    return certify(mode, n4, exhaustive, trial, cap=MORPHISM_DIM_CAP)
+    rows = (("f-correspondence", assembled,
+             derived_action(module, hopf, "Z", setup),
+             build_iso("f", hopf, setup)),)
+    return _certify_correspondence(rows, module.space_dim, mode)

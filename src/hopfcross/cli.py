@@ -21,8 +21,7 @@ from .bimodules import (c_action_from_bimodule, check_hopf_bimodule,
                         verify_action_correspondence, verify_f_correspondence)
 from .catalog import catalog_hopf, parse_catalog_spec
 from .crossed import (StandardTriple, build_xyz, check_handle_axioms,
-                      diagonal_crossed, materialize, smash_handles,
-                      two_sided_crossed)
+                      materialize, smash_handles)
 from .errors import FormatError
 from .fields import PrimeField, QQ
 from .hopf_json import (algebra_to_json, field_to_json, load_document,
@@ -165,18 +164,13 @@ def cmd_describe(args):
 
 
 def _build_handle(construction, hopf, setup):
-    if construction in ("X", "Y", "Z"):
-        return build_xyz(hopf, construction, setup)
     if construction == "left-smash":
         return smash_handles(hopf, setup)[0]
     if construction == "right-smash":
         return smash_handles(hopf, setup)[1]
-    if construction == "two-sided":
-        return two_sided_crossed(setup.dual.algebra, setup.K,
-                                 setup.dual_op_alg, setup.act_on_dual,
-                                 setup.act_on_dual_op, verify=False)
-    return diagonal_crossed(setup.C, setup.K, setup.act_left_C,
-                            setup.act_right_C, verify=False)
+    # Y and Z are the two-sided and diagonal products of the canonical triple
+    which = {"two-sided": "Y", "diagonal": "Z"}.get(construction, construction)
+    return build_xyz(hopf, which, setup)
 
 
 def cmd_build(args):

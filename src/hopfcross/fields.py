@@ -66,17 +66,8 @@ class Rationals:
             return v.numerator
         return v
 
-    def is_zero(self, v):
-        return v == 0
-
-    def eq(self, a, b):
-        return a == b
-
     def add(self, a, b):
         return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def mul(self, a, b):
         return a * b
@@ -93,9 +84,6 @@ class Rationals:
         if b == 0:
             raise ZeroDivisionError("division by zero in Q")
         return self.canon(Fraction(a) / b)
-
-    def from_int(self, k):
-        return k
 
     def parse(self, s):
         if not isinstance(s, str) or not _RATIONAL_RE.match(s.strip()):
@@ -134,17 +122,8 @@ class PrimeField:
     def canon(self, v):
         return v % self.p
 
-    def is_zero(self, v):
-        return v % self.p == 0
-
-    def eq(self, a, b):
-        return (a - b) % self.p == 0
-
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return a * b % self.p
@@ -160,9 +139,6 @@ class PrimeField:
 
     def div(self, a, b):
         return a * self.inv(b) % self.p
-
-    def from_int(self, k):
-        return k % self.p
 
     def parse(self, s):
         if not isinstance(s, str) or not _INTEGER_RE.match(s.strip()):
