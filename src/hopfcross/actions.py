@@ -16,10 +16,10 @@ element of H" is coefficient extraction.
 
 from dataclasses import dataclass
 
-from .algebra import (associativity_blocks, dual_hopf, tensor_algebra,
-                      tensor_hopf, variant)
+from .algebra import (associativity_blocks, dual_hopf, multiplicative_items,
+                      tensor_algebra, tensor_hopf, tensor_product, variant)
 from .errors import DimensionMismatchError, UnverifiedActionError
-from .linalg import LinearMap, sv_add_into, sv_canon
+from .linalg import LinearMap, sv_add_into, sv_canon, sv_tensor
 from .report import certify_exhaustive
 
 
@@ -98,6 +98,19 @@ def module_items(act, actor_alg):
     yield from associativity_blocks(act.field, act.actor_dim, act.space_dim,
                                     actor_alg.mul_basis, act.act_basis,
                                     act.side, f"module-assoc-{act.side}")
+
+
+def commute_items(first, second, axiom):
+    """Items (1, axiom, (x, y, j), y.(x.m_j), x.(y.m_j)) for every actor x
+    of `first`, actor y of `second` and basis element m_j: the two
+    actions on one space commute."""
+    one = first.field.one
+    for x in range(first.actor_dim):
+        for y in range(second.actor_dim):
+            for j in range(first.space_dim):
+                yield (1, axiom, (x, y, j),
+                       second.act_sv({y: one}, first.act_basis(x, j)),
+                       first.act_sv({x: one}, second.act_basis(y, j)))
 
 
 def check_module_algebra(side, hopf, alg, act):
@@ -243,7 +256,7 @@ def trivial_action(hopf, space_dim, side):
 
 
 def build_bimodule_algebra(a_alg, act_left, b_alg, act_right, hopf,
-                           verify=True, sep="*"):
+                           verify=True):
     """Tensor algebra A (x) B with H acting on the left through A only and
     on the right through B only; the two actions commute slot by slot.
 
@@ -259,7 +272,7 @@ def build_bimodule_algebra(a_alg, act_left, b_alg, act_right, hopf,
             raise UnverifiedActionError("right factor is not a module algebra", rep)
     field = a_alg.field
     db = b_alg.dim
-    c_alg = tensor_algebra(a_alg, b_alg, sep=sep)
+    c_alg = tensor_algebra(a_alg, b_alg)
     left_tensor, right_tensor = {}, {}
     for (i, a), entries in act_left.tensor.items():
         for b in range(db):
@@ -278,13 +291,10 @@ def check_bimodule_algebra(hopf, alg, act_left, act_right):
     def items():
         yield from module_algebra_items("left", hopf, alg, act_left)
         yield from module_algebra_items("right", hopf, alg, act_right)
-        one = alg.field.one
-        for h in range(hopf.dim):
-            for g in range(hopf.dim):
-                for c in range(alg.dim):
-                    yield (1, "bimodule-actions-commute", (h, g, c),
-                           act_left.act_sv({h: one}, act_right.act_basis(g, c)),
-                           act_right.act_sv({g: one}, act_left.act_basis(h, c)))
+        # reported as h.(c.g) against (h.c).g: commute_items' sides swapped
+        for count, axiom, witness, hc_g, h_cg in commute_items(
+                act_left, act_right, "bimodule-actions-commute"):
+            yield count, axiom, witness, h_cg, hc_g
 
     return certify_exhaustive(items())
 
@@ -365,22 +375,13 @@ def comodule_algebra_map(hopf):
                                      + w * big.coalgebra.counit[d])
             yield (1, "comodule-counit", (t,),
                    sv_canon(field, counit_applied), {t: field.one})
-        # algebra map into H* (x) big with componentwise product
-        for i in range(n):
-            for j in range(n):
-                lhs = {}
-                for k, c in dual.algebra.mul_basis(i, j).items():
-                    sv_add_into(lhs, cols[k], c)
-                rhs = {}
-                for key1, w1 in cols[i].items():
-                    v1, d1 = divmod(key1, n * n)
-                    for key2, w2 in cols[j].items():
-                        v2, d2 = divmod(key2, n * n)
-                        for v, cv in dual.algebra.mul_basis(v1, v2).items():
-                            for d, cd in big.algebra.mul_basis(d1, d2).items():
-                                key = v * n * n + d
-                                rhs[key] = rhs.get(key, 0) + w1 * w2 * cv * cd
-                yield (1, "comodule-algebra-map", (i, j), sv_canon(field, lhs),
-                       sv_canon(field, rhs))
+        # an algebra map into H* (x) big, whose product is componentwise
+        unit = dual.algebra.unit_sv()
+        yield (0, "comodule-algebra-unit", (), lm.apply_sv(unit),
+               sv_tensor(field, [unit, big.algebra.unit_sv()], [n, n * n]))
+        yield from multiplicative_items(
+            field, "comodule-algebra-map", n, dual.algebra.mul_basis, cols,
+            tensor_product(field, dual.algebra.mul_basis,
+                           big.algebra.mul_basis, n * n))
 
     return lm, certify_exhaustive(items())

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import (DimensionMismatchError, FieldMismatchError,
                      SingularMatrixError)
-from .linalg import (LinearMap, mat_inv, kernel_basis,
-                     sv_canon, sv_add_into, sv_from_list)
+from .linalg import (LinearMap, add_tensor, kernel_basis, mat_inv,
+                     sv_add_into, sv_canon, sv_from_list, sv_tensor)
 from .report import RANDOM_COORD_BOUND, certify, certify_exhaustive
 
 
@@ -302,6 +302,23 @@ def associativity_blocks(field, n, m_dim, basis_product, act_basis, side,
                {k - at: c for k, c in right.items() if k // m_dim == jt})
 
 
+def multiplicative_items(field, axiom, n, src_mul, images, dst_product):
+    """Items (1, axiom, (i, j), F(e_i e_j), F(e_i) F(e_j)) for all i, j < n,
+    where F(e_k) = images[k]: the linear map F is multiplicative.
+
+    `src_mul(i, j)` is the sparse product of source basis elements and
+    `dst_product` the sparse product of the target.  Each caller checks
+    its own unit law."""
+    for i in range(n):
+        fi = images[i]
+        for j in range(n):
+            lhs = {}
+            for k, c in src_mul(i, j).items():
+                sv_add_into(lhs, images[k], c)
+            yield (1, axiom, (i, j), sv_canon(field, lhs),
+                   dst_product(fi, images[j]))
+
+
 def check_coalgebra_axioms(coa):
     """Coassociativity and the counit law (linear, so always per basis)."""
     return certify_exhaustive(coalgebra_items(coa))
@@ -330,26 +347,6 @@ def coalgebra_items(coa):
         yield 1, "counit-right", (i,), sv_canon(field, right_counit), target
 
 
-def _delta_of_product(hopf, i, j):
-    """Delta(e_i e_j) and Delta(e_i) Delta(e_j)."""
-    alg, coa = hopf.algebra, hopf.coalgebra
-    n = alg.dim
-    lhs = {}
-    for k, c in alg.mul_basis(i, j).items():
-        for a, b, c2 in coa.delta(k):
-            key = a * n + b
-            lhs[key] = lhs.get(key, 0) + c * c2
-    rhs = {}
-    for a1, b1, c1 in coa.delta(i):
-        for a2, b2, c2 in coa.delta(j):
-            cc = c1 * c2
-            for a, ca in alg.mul_basis(a1, a2).items():
-                for b, cb in alg.mul_basis(b1, b2).items():
-                    key = a * n + b
-                    rhs[key] = rhs.get(key, 0) + cc * ca * cb
-    return sv_canon(alg.field, lhs), sv_canon(alg.field, rhs)
-
-
 def check_hopf_axioms(hopf, mode=None):
     """Full Hopf suite: (co)algebra, bialgebra, antipode, S invertible.
 
@@ -370,21 +367,19 @@ def _hopf_items(hopf):
 
     # Delta and counit are algebra maps; Delta(1) = 1 (x) 1, eps(1) = 1.
     unit = alg.unit_sv()
-    unit_tensor = {}
-    for i, a in unit.items():
-        for j, b in unit.items():
-            unit_tensor[i * n + j] = field.canon(a * b)
     yield (0, "comult-of-unit", (), coa.delta_sv(unit),
-           sv_canon(field, unit_tensor))
+           sv_tensor(field, [unit, unit], [n, n]))
     yield 0, "counit-of-unit", (), hopf.counit_sv(unit), field.one
-    for i in range(n):
-        for j in range(n):
-            yield (1, "comult-multiplicative", (i, j),
-                   *_delta_of_product(hopf, i, j))
-            yield (0, "counit-multiplicative", (i, j),
-                   field.canon(sum(c * coa.counit[k]
-                                   for k, c in alg.mul_basis(i, j).items())),
-                   field.canon(coa.counit[i] * coa.counit[j]))
+    images = [coa.delta_sv({k: field.one}) for k in range(n)]
+    for item in multiplicative_items(
+            field, "comult-multiplicative", n, alg.mul_basis, images,
+            tensor_product(field, alg.mul_basis, alg.mul_basis, n)):
+        yield item
+        i, j = item[2]
+        yield (0, "counit-multiplicative", (i, j),
+               field.canon(sum(c * coa.counit[k]
+                               for k, c in alg.mul_basis(i, j).items())),
+               field.canon(coa.counit[i] * coa.counit[j]))
 
     # Convolution identities for the antipode.
     for i in range(n):
@@ -482,13 +477,13 @@ def variant(hopf, which):
     return HopfAlgebraData(new_alg, new_coa, antipode)
 
 
-def tensor_algebra(a, b, sep="*"):
+def tensor_algebra(a, b):
     """Componentwise algebra structure on basis pairs, left factor major."""
     if a.field != b.field:
         raise FieldMismatchError("tensor factors over different fields")
     field = a.field
     da, db = a.dim, b.dim
-    labels = [f"{la}{sep}{lb}" for la in a.basis_labels for lb in b.basis_labels]
+    labels = [f"{la}*{lb}" for la in a.basis_labels for lb in b.basis_labels]
     mult = {}
     for (i1, j1), e1 in a.mult.items():
         for (i2, j2), e2 in b.mult.items():
@@ -502,6 +497,25 @@ def tensor_algebra(a, b, sep="*"):
                 mult[(i1 * db + i2, j1 * db + j2)] = entries
     unit = [field.canon(ua * ub) for ua in a.unit for ub in b.unit]
     return AlgebraData(field, da * db, labels, mult, unit)
+
+
+def tensor_product(field, a_mul, b_mul, db):
+    """The sparse product (a (x) b)(a' (x) b') = aa' (x) bb' of A (x) B on
+    the left-major flattened basis, from the basis products of A and B
+    and dim B; no structure constants of A (x) B are built."""
+
+    def product(x, y):
+        acc = {}
+        ys = [(*divmod(t, db), cy) for t, cy in y.items()]
+        for s, cx in x.items():
+            a1, b1 = divmod(s, db)
+            for a2, b2, cy in ys:
+                first = a_mul(a1, a2)
+                if first:
+                    add_tensor(acc, first, b_mul(b1, b2), db, cx * cy)
+        return sv_canon(field, acc)
+
+    return product
 
 
 def tensor_hopf(h1, h2):

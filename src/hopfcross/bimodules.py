@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .actions import (ActionData, CoactionData, bicomodule_legs,
                       bicomodule_to_module, coaction_items, coherence_items,
-                      module_items)
+                      commute_items, module_items)
 from .algebra import associativity_blocks, dual_hopf, random_dense_vector
 from .crossed import (LAYOUTS, StandardTriple, diagonal_crossed,
                       two_sided_crossed)
@@ -64,16 +64,10 @@ def _hopf_bimodule_items(module, dual):
     la, ra = module.left_act, module.right_act
     yield from module_items(la, dual.algebra)
     yield from module_items(ra, dual.algebra)
+    yield from commute_items(la, ra, "bimodule-commute")
     n = dual.dim
     m_dim = module.space_dim
     field = module.field
-    one = field.one
-    for p in range(n):
-        for q in range(n):
-            for j in range(m_dim):
-                yield (1, "bimodule-commute", (p, q, j),
-                       ra.act_sv({q: one}, la.act_basis(p, j)),
-                       la.act_sv({p: one}, ra.act_basis(q, j)))
     for co in (module.left_co, module.right_co):
         yield from coaction_items(co, dual.coalgebra)
     yield from coherence_items(module.left_co, module.right_co)
@@ -360,9 +354,13 @@ def c_action_from_bimodule(module):
 
 def assemble_two_sided_action(triple, a_dim, h_dim, b_dim):
     """(a # h # b).m = a.(h.(b.m)) as an explicit action tensor; the dims
-    are the actor dims of the triple's three actions."""
-    return composite_action((triple.a_act, triple.h_act, triple.b_act),
-                            triple.space_dim)
+    must be the actor dims of the triple's three actions."""
+    acts = (triple.a_act, triple.h_act, triple.b_act)
+    got = tuple(act.actor_dim for act in acts)
+    if got != (a_dim, h_dim, b_dim):
+        raise DimensionMismatchError(f"the triple's actor dims are {got}, "
+                                     f"not {(a_dim, h_dim, b_dim)}")
+    return composite_action(acts, triple.space_dim)
 
 
 def composite_action(acts, m_dim):
@@ -398,9 +396,12 @@ def triple_module_roundtrip(triple, a_alg, hopf_mid, b_alg, act_left_a,
     `handle` is A # H # B as `two_sided_crossed` builds it from these
     arguments, when the caller has one already; it is built otherwise.
     The conditions and restrictions are exhaustive; the module axiom
-    runs in `mode`, and the report records that mode.
+    runs in `mode`, and the report records that mode.  Unless the
+    triple's actor dims are (dim A, dim H, dim B), DimensionMismatchError
+    is raised before anything is checked.
     """
     dims = (a_alg.dim, hopf_mid.dim, b_alg.dim)
+    assembled = assemble_two_sided_action(triple, *dims)
     conditions = certify_exhaustive(_triple_condition_items(
         triple, dims, hopf_mid, act_left_a, act_right_b))
     if not conditions.passed:
@@ -408,7 +409,6 @@ def triple_module_roundtrip(triple, a_alg, hopf_mid, b_alg, act_left_a,
     if handle is None:
         handle = two_sided_crossed(a_alg, hopf_mid, b_alg, act_left_a,
                                    act_right_b, verify=False)
-    assembled = assemble_two_sided_action(triple, *dims)
     report = check_module_over_handle(handle, assembled, mode)
     report.absorb(conditions)
     if report.passed:
@@ -424,12 +424,7 @@ def _triple_condition_items(triple, dims, hopf_mid, act_left_a, act_right_b):
     m_dim = triple.space_dim
     a_act, h_act, b_act = triple.a_act, triple.h_act, triple.b_act
     da, dh, db = dims
-    for a in range(da):
-        for b in range(db):
-            for j in range(m_dim):
-                yield (1, "condition-i", (a, b, j),
-                       b_act.act_sv({b: one}, a_act.act_basis(a, j)),
-                       a_act.act_sv({a: one}, b_act.act_basis(b, j)))
+    yield from commute_items(a_act, b_act, "condition-i")
     s_inv = hopf_mid.antipode_inv_col
     # (ii) on B over (b, h, j) and (iii) on A over (h, a, j), each with its
     # S^-1 form: x in B or A is moved by one coproduct leg of h and the

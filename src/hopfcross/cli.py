@@ -26,15 +26,11 @@ from .errors import FormatError
 from .fields import PrimeField, QQ
 from .hopf_json import (algebra_to_json, field_to_json, load_document,
                         save_document, save_document_by_rows)
-from .isos import (build_iso, composition_identity, verify_algebra_morphism,
-                   verify_mutually_inverse)
+from .isos import (ISO_SPECS, build_iso, composition_identity,
+                   verify_algebra_morphism, verify_mutually_inverse)
 from .report import CheckMode
 
 DEFAULT_CAP = 64
-
-ISO_ROUTES = {
-    "phi": ("X", "Y"), "alpha": ("Y", "Z"), "beta": ("X", "Z"), "f": ("Y", "Z"),
-}
 
 
 def _parse_mode(text, seed):
@@ -226,7 +222,7 @@ def cmd_iso(args):
             hopf, CheckMode.deferred(args.seed)), field):
         return 1
     setup = StandardTriple(hopf)
-    src_name, dst_name = ISO_ROUTES[args.kind]
+    src_name, dst_name = ISO_SPECS[args.kind][:2]
     src = build_xyz(hopf, src_name, setup)
     dst = build_xyz(hopf, dst_name, setup)
     forward = build_iso(args.kind, hopf, setup)

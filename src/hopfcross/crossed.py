@@ -48,7 +48,7 @@ from .algebra import (AlgebraData, check_unit_and_associativity, dual_hopf,
 from .actions import (ActionData, build_bimodule_algebra,
                       check_bimodule_algebra, check_module_algebra)
 from .errors import CapExceededError, UnverifiedActionError
-from .linalg import sv_canon, sv_tensor
+from .linalg import add_tensor, sv_canon, sv_tensor
 
 # Slot order of each four- and three-slot algebra: p, q over D, h, g over H.
 LAYOUTS = {"X": "ghpq", "Y": "phgq", "Z": "pqhg",
@@ -195,16 +195,6 @@ def check_handle_axioms(handle, mode=None):
 
 # ---------------------------------------------------------------------------
 # the twisted tensor product and the generic builders
-
-def add_tensor(acc, x, y, dim_y, c):
-    """acc += c * (x (x) y) on the left-major flattened basis."""
-    for s, cs in x.items():
-        base = s * dim_y
-        w = c * cs
-        for t, ct in y.items():
-            key = base + t
-            acc[key] = acc.get(key, 0) + w * ct
-
 
 def twisted_tensor(field, a_mul, b_mul, db, twist, factor_dims, labels, unit,
                    provenance):
@@ -355,10 +345,11 @@ class StandardTriple:
     Arrow tables (matrices of e_u -> . <- e_v on the dual basis) and the
     slot-move tables are cached here and shared by the product builders,
     the isomorphisms and the module-action code; `isos` keeps each map
-    `isos.build_iso` has built on this triple, by kind.
+    `isos.build_iso` has built on this triple, by kind.  Both K-actions
+    are certified as module-algebra actions on construction.
     """
 
-    def __init__(self, hopf, verify=True):
+    def __init__(self, hopf):
         self.hopf = hopf
         self.field = hopf.field
         self.n = hopf.dim
@@ -390,13 +381,12 @@ class StandardTriple:
                         right_tensor[(kappa, j)] = tw
         self.act_on_dual = ActionData(field, n * n, n, "left", left_tensor)
         self.act_on_dual_op = ActionData(field, n * n, n, "right", right_tensor)
-        if verify:
-            _require(check_module_algebra("left", self.K, self.dual.algebra,
-                                          self.act_on_dual),
-                     "regular arrows do not give a module algebra")
-            _require(check_module_algebra("right", self.K, self.dual_op_alg,
-                                          self.act_on_dual_op),
-                     "twisted arrows do not give a module algebra")
+        _require(check_module_algebra("left", self.K, self.dual.algebra,
+                                      self.act_on_dual),
+                 "regular arrows do not give a module algebra")
+        _require(check_module_algebra("right", self.K, self.dual_op_alg,
+                                      self.act_on_dual_op),
+                 "twisted arrows do not give a module algebra")
         self.C, self.act_left_C, self.act_right_C = build_bimodule_algebra(
             self.dual.algebra, self.act_on_dual,
             self.dual_op_alg, self.act_on_dual_op,

@@ -94,13 +94,17 @@ def _table(field, entries, bounds, where):
     return out
 
 
-def _mult_to_triples(field, mult):
-    triples = []
-    for (i, j), entries in mult.items():
-        for k, c in entries.items():
-            triples.append([i, j, k, field.fmt(c)])
-    triples.sort(key=lambda t: (t[0], t[1], t[2]))
-    return triples
+def _table_json(field, entries):
+    """The [i, j, k, scalar] table of the entries (i, j, k, c), sorted by
+    (i, j, k); the mirror of `_table`."""
+    return sorted(([i, j, k, field.fmt(c)] for i, j, k, c in entries),
+                  key=lambda t: t[:3])
+
+
+def _pair_table(tensor):
+    """The entries (i, j, k, c) of a (i, j) -> {k: c} tensor."""
+    return ((i, j, k, c) for (i, j), out in tensor.items()
+            for k, c in out.items())
 
 
 def _check_keys(obj, allowed, where):
@@ -255,7 +259,7 @@ def algebra_to_json(alg):
         "field": field_to_json(field),
         "dim": alg.dim,
         "basis": list(alg.basis_labels),
-        "mult": _mult_to_triples(field, alg.mult),
+        "mult": _table_json(field, _pair_table(alg.mult)),
         "unit": [field.fmt(c) for c in alg.unit],
     }
 
@@ -263,12 +267,9 @@ def algebra_to_json(alg):
 def hopf_to_json(hopf):
     field = hopf.field
     doc = algebra_to_json(hopf.algebra)
-    comult = []
-    for i, terms in hopf.coalgebra.comult.items():
-        for j, k, c in terms:
-            comult.append([i, j, k, field.fmt(c)])
-    comult.sort(key=lambda t: (t[0], t[1], t[2]))
-    doc["comult"] = comult
+    doc["comult"] = _table_json(field, (
+        (i, j, k, c) for i, terms in hopf.coalgebra.comult.items()
+        for j, k, c in terms))
     doc["counit"] = [field.fmt(c) for c in hopf.coalgebra.counit]
     doc["antipode"] = [[field.fmt(c) for c in row] for row in hopf.antipode]
     return doc
@@ -279,20 +280,14 @@ def bimodule_blocks(module):
     field = module.field
 
     def action_block(act):
-        triples = []
-        for (i, j), entries in act.tensor.items():
-            for k, c in entries.items():
-                triples.append([i, j, k, field.fmt(c)])
-        triples.sort(key=lambda t: (t[0], t[1], t[2]))
-        return {"side": act.side, "by": "dual", "tensor": triples}
+        return {"side": act.side, "by": "dual",
+                "tensor": _table_json(field, _pair_table(act.tensor))}
 
     def coaction_block(co):
-        quads = []
-        for j, terms in co.tensor.items():
-            for c, k, w in terms:
-                quads.append([c, j, k, field.fmt(w)])
-        quads.sort(key=lambda t: (t[0], t[1], t[2]))
-        return {"side": co.side, "by": "dual", "tensor": quads}
+        return {"side": co.side, "by": "dual",
+                "tensor": _table_json(field, (
+                    (c, j, k, w) for j, terms in co.tensor.items()
+                    for c, k, w in terms))}
 
     return {
         "module": {"dim": module.space_dim},

@@ -20,7 +20,7 @@ by basis pairs or random trials, the inverse and composition checks
 exhaustively, one column of the composite at a time.
 """
 
-from .algebra import random_dense_vector
+from .algebra import multiplicative_items, random_dense_vector
 from .crossed import LAYOUTS, StandardTriple
 from .errors import DimensionMismatchError
 from .linalg import LinearMap, sv_canon
@@ -107,12 +107,9 @@ def verify_algebra_morphism(lm, src, dst, mode=None, seed=0,
         raise DimensionMismatchError("map does not match the two algebras")
 
     def exhaustive():
-        for i in range(src.dim):
-            fi = lm.col_sv(i)
-            for j in range(src.dim):
-                yield (1, "morphism-multiplicative", (i, j),
-                       lm.apply_sv(src.basis_product(i, j)),
-                       dst.product(fi, lm.col_sv(j)))
+        return multiplicative_items(
+            src.field, "morphism-multiplicative", src.dim, src.basis_product,
+            [lm.col_sv(k) for k in range(src.dim)], dst.product)
 
     def trial(rng, t):
         x, y = (random_dense_vector(src.field, rng, src.dim) for _ in range(2))

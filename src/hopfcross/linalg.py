@@ -64,6 +64,16 @@ def sv_tensor(field, parts, dims):
     return sv_canon(field, flat)
 
 
+def add_tensor(acc, x, y, dim_y, c):
+    """acc += c * (x (x) y) on the left-major flattened basis."""
+    for s, cs in x.items():
+        base = s * dim_y
+        w = c * cs
+        for t, ct in y.items():
+            key = base + t
+            acc[key] = acc.get(key, 0) + w * ct
+
+
 def flatten_index(idxs, dims):
     out = 0
     for i, d in zip(idxs, dims):
