@@ -502,17 +502,25 @@ def tensor_algebra(a, b):
 def tensor_product(field, a_mul, b_mul, db):
     """The sparse product (a (x) b)(a' (x) b') = aa' (x) bb' of A (x) B on
     the left-major flattened basis, from the basis products of A and B
-    and dim B; no structure constants of A (x) B are built."""
+    and dim B; no structure constants of A (x) B are built.  The terms
+    of y are grouped by their A index, so A is multiplied once per term
+    of x and A index of y, and a zero product of A skips its B work."""
 
     def product(x, y):
+        by_a = {}
+        for t, cy in y.items():
+            a2, b2 = divmod(t, db)
+            by_a.setdefault(a2, []).append((b2, cy))
         acc = {}
-        ys = [(*divmod(t, db), cy) for t, cy in y.items()]
         for s, cx in x.items():
             a1, b1 = divmod(s, db)
-            for a2, b2, cy in ys:
+            for a2, terms in by_a.items():
                 first = a_mul(a1, a2)
                 if first:
-                    add_tensor(acc, first, b_mul(b1, b2), db, cx * cy)
+                    second = {}
+                    for b2, cy in terms:
+                        sv_add_into(second, b_mul(b1, b2), cy)
+                    add_tensor(acc, first, second, db, cx)
         return sv_canon(field, acc)
 
     return product

@@ -26,10 +26,16 @@ dual D and K = H (x) H^op:
   straightens ((1(x)1)(x)(p(x)q)) ((g(x)h)(x)(1(x)1)) to
   sum (g2 (x) h2) (x) (S^-1(h1)->p<-S(g1) (x) S(h3)->q<-S^-1(g3)).
 
-Basis-pair products are cached the first time they are asked for (as
-flat [k1, c1, k2, c2, ...] lists), and R is evaluated once per basis pair
-(b, a'), so exhaustive checks and repeated oracle products cost one
-expansion per pair; iterated coproducts are cached on the coalgebras.
+Basis-pair products are cached the first time they are asked for, as
+flat (k1, c1, k2, c2, ...) tuples in one row per left index i.  A row is
+allocated when its first pair is asked for, so a handle costs O(dim)
+until it is used, and every zero product is the one shared ZERO_PAIR.
+A pair is computed as (e_i (a' (x) 1)) (1 (x) b'): R is evaluated once
+per basis pair (b, a'), the generator products e_i (a' (x) 1) once per
+(i, a') while row i is being filled, and a pair whose b' none of their
+terms multiplies to nonzero costs one set lookup.  So exhaustive checks
+and repeated oracle products cost one expansion per pair; iterated
+coproducts are cached on the coalgebras.
 Once every pair (i, .) is cached, `product_dense` compiles row i into
 one flat [j, k, c, ...] list of the nonzero structure constants of
 e_i e_j = sum c e_k and loops over those terms only.  A row compiles only
@@ -55,11 +61,17 @@ LAYOUTS = {"X": "ghpq", "Y": "phgq", "Z": "pqhg",
            "left_smash": "phg", "right_smash": "hgq"}
 
 
+# The entry of every zero basis-pair product, shared by all handles.
+ZERO_PAIR = ()
+
+
 class AlgebraHandle:
     """An algebra given by a multiplication oracle on coefficient vectors.
 
-    `pair_fn(i, j)` returns the sparse product of basis elements i and j;
-    results are cached, and rows of them are compiled by `_row`.
+    `pair_fn(i, j)` returns the sparse product of basis elements i and j.
+    Results are cached in `_pairs`, one row per left index i, allocated
+    when a pair (i, .) is first asked for; a zero product is stored as
+    the shared ZERO_PAIR.  Fully evaluated rows are compiled by `_row`.
     `materialized` is filled by `materialize`.
     """
 
@@ -76,19 +88,24 @@ class AlgebraHandle:
         self.provenance = provenance
         self.materialized = None
         self._pair_fn = pair_fn
-        self._pairs = [None] * (dim * dim)
+        self._pairs = [None] * dim
         self._rows = [None] * dim
 
     def _pair(self, i, j):
-        idx = i * self.dim + j
-        flat = self._pairs[idx]
+        row = self._pairs[i]
+        if row is None:
+            row = self._pairs[i] = [None] * self.dim
+        flat = row[j]
         if flat is None:
             sv = self._pair_fn(i, j)
-            flat = []
-            for k in sorted(sv):
-                flat.append(k)
-                flat.append(sv[k])
-            self._pairs[idx] = flat
+            if sv:
+                flat = []
+                for k in sorted(sv):
+                    flat += (k, sv[k])
+                flat = tuple(flat)
+            else:
+                flat = ZERO_PAIR
+            row[j] = flat
         return flat
 
     def _row(self, i):
@@ -96,9 +113,8 @@ class AlgebraHandle:
         or None while some pair (i, j) is unevaluated."""
         row = self._rows[i]
         if row is None:
-            n = self.dim
-            flats = self._pairs[i * n:(i + 1) * n]
-            if None in flats:
+            flats = self._pairs[i]
+            if flats is None or None in flats:
                 return None
             row = []
             for j, flat in enumerate(flats):
@@ -201,14 +217,26 @@ def twisted_tensor(field, a_mul, b_mul, db, twist, factor_dims, labels, unit,
     """A (x)_R B, with `twist(b, a')` = R(b (x) a') on the flattened basis.
 
     `a_mul` and `b_mul` are the basis products of A and B, and `db` is
-    dim B.  R is evaluated once per basis pair (b, a'); the results are
-    kept on the handle as `twists`.
+    dim B.  Pair (i, j) = (a (x) b)(a' (x) b') is computed regrouped as
+    (e_i (a' (x) 1)) (1 (x) b'):
+
+    * the generator product e_i (a' (x) 1) = sum c (a a3) (x) b3, over
+      R(b (x) a') = sum c a3 (x) b3, is kept for the current left index
+      i only, one per a', and all are dropped when i changes;
+    * the nonzero products b3 b' are tabled once, on the first pair, so
+      a pair (i, j) whose b' no generator term b3 reaches is zero at
+      once, and the others loop over nonzero terms only.
+
+    R is evaluated once per basis pair (b, a'); the results are kept on
+    the handle as `twists`.
     """
     twists = {}
+    b_rows = []         # b3 -> {b': [(b5, c), ...]} over the nonzero b3 b'
+    row_i, gens = None, {}      # the current left index, a' -> generator
 
-    def pair(i, j):
-        a, b = divmod(i, db)
-        a2, b2 = divmod(j, db)
+    def generator(a, b, a2):
+        """e_i (a' (x) 1) as [(b3, a4 * db, c), ...], and the set of b'
+        that some of its b3 multiply to nonzero."""
         terms = twists.get((b, a2))
         if terms is None:
             terms = [(*divmod(k, db), c)
@@ -216,9 +244,37 @@ def twisted_tensor(field, a_mul, b_mul, db, twist, factor_dims, labels, unit,
             twists[(b, a2)] = terms
         acc = {}
         for a3, b3, c in terms:
-            first = a_mul(a, a3)
-            if first:
-                add_tensor(acc, first, b_mul(b3, b2), db, c)
+            for a4, ca in a_mul(a, a3).items():
+                key = a4 * db + b3
+                acc[key] = acc.get(key, 0) + c * ca
+        gen, reach = [], set()
+        for k, c in sv_canon(field, acc).items():
+            b3 = k % db
+            gen.append((b3, k - b3, c))
+            reach.update(b_rows[b3])
+        return gen, reach
+
+    def pair(i, j):
+        nonlocal row_i, gens
+        if not b_rows:
+            b_rows.extend({b2: list(prod.items()) for b2 in range(db)
+                           if (prod := b_mul(b3, b2))} for b3 in range(db))
+        if i != row_i:
+            row_i, gens = i, {}
+        a2, b2 = divmod(j, db)
+        gen = gens.get(a2)
+        if gen is None:
+            gen = gens[a2] = generator(*divmod(i, db), a2)
+        terms, reach = gen
+        if b2 not in reach:
+            return {}
+        acc = {}
+        for b3, base, c in terms:
+            prod = b_rows[b3].get(b2)
+            if prod:
+                for b5, cb in prod:
+                    key = base + b5
+                    acc[key] = acc.get(key, 0) + c * cb
         return sv_canon(field, acc)
 
     handle = AlgebraHandle(field, factor_dims, labels, unit, pair, provenance)

@@ -71,6 +71,19 @@ def _int_in(v, bound, where):
     return v
 
 
+def _positive_int(v, where):
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        raise FormatError(f"{where} must be a positive integer")
+    return v
+
+
+def _blocks(data, key):
+    blocks = data.get(key, [])
+    if not isinstance(blocks, list):
+        raise FormatError(f"{key} must be a list of blocks")
+    return blocks
+
+
 def _table(field, entries, bounds, where):
     """The nonzero entries (i, j, k, c) of an [i, j, k, scalar] table.
 
@@ -156,9 +169,7 @@ def read_document(data):
         if key not in data:
             raise FormatError(f"missing required key {key!r}")
     field = parse_field(data["field"])
-    dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise FormatError("dim must be a positive integer")
+    dim = _positive_int(data["dim"], "dim")
     basis = data["basis"]
     if (not isinstance(basis, list) or len(basis) != dim
             or not all(isinstance(b, str) for b in basis)):
@@ -196,9 +207,7 @@ def read_document(data):
     module_basis = None
     if "module" in data:
         _check_keys(data["module"], MODULE_KEYS, "module")
-        module_dim = data["module"].get("dim")
-        if not isinstance(module_dim, int) or module_dim < 1:
-            raise FormatError("module.dim must be a positive integer")
+        module_dim = _positive_int(data["module"].get("dim"), "module.dim")
         module_basis = data["module"].get("basis")
         if module_basis is not None and (
                 not isinstance(module_basis, list)
@@ -206,7 +215,7 @@ def read_document(data):
             raise FormatError("module.basis must list module.dim labels")
 
     actions = []
-    for a in data.get("actions", []):
+    for a in _blocks(data, "actions"):
         _check_keys(a, ACTION_KEYS, "actions[]")
         side, by = a.get("side"), a.get("by", "dual")
         if side not in ("left", "right") or by not in ("self", "dual"):
@@ -221,7 +230,7 @@ def read_document(data):
         actions.append((ActionData(field, dim, module_dim, side, tensor), by))
 
     coactions = []
-    for c in data.get("coactions", []):
+    for c in _blocks(data, "coactions"):
         _check_keys(c, ACTION_KEYS, "coactions[]")
         side, by = c.get("side"), c.get("by", "dual")
         if side not in ("left", "right") or by not in ("self", "dual"):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hopfcross import cli
 from hopfcross.bimodules import example_bimodule
 from hopfcross.catalog import catalog_named
 from hopfcross.crossed import StandardTriple, build_xyz, materialize
@@ -155,3 +156,25 @@ def test_every_table_is_read_alike(cyclic2, table, corruption):
     assert read_document(_document_with(cyclic2, table, None)).bimodule()
     with pytest.raises(FormatError, match=table):
         read_document(_document_with(cyclic2, table, corruption))
+
+
+ONE_DIM = {"field": "Q", "dim": 1, "basis": ["1"], "mult": [[0, 0, 0, "1"]],
+           "unit": ["1"]}
+
+
+@pytest.mark.parametrize("doc,where", [
+    ({**ONE_DIM, "dim": True}, "dim"),
+    ({**ONE_DIM, "module": {"dim": True}}, "module.dim"),
+    ({**ONE_DIM, "actions": 5, "module": {"dim": 1}}, "actions"),
+    ({**ONE_DIM, "coactions": None, "module": {"dim": 1}}, "coactions"),
+])
+def test_boolean_dims_and_non_list_blocks_are_input_errors(doc, where,
+                                                           tmp_path, capsys):
+    assert read_document(ONE_DIM).kind == "algebra"
+    with pytest.raises(FormatError, match=where):
+        read_document(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(dump_json(doc))
+    assert cli.main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and where in err
