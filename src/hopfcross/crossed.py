@@ -231,8 +231,10 @@ def twisted_tensor(field, a_mul, b_mul, db, twist, factor_dims, labels, unit,
     the handle as `twists`.
     """
     twists = {}
-    b_rows = []         # b3 -> {b': [(b5, c), ...]} over the nonzero b3 b'
-    row_i, gens = None, {}      # the current left index, a' -> generator
+    b_rows = None       # b3 -> {b': [(b5, c), ...]} over the nonzero b3 b'
+    # (i, {a': generator}) of the row being filled; a new row binds a new
+    # pair, so a call never reads the generators of another row
+    current = (None, {})
 
     def generator(a, b, a2):
         """e_i (a' (x) 1) as [(b3, a4 * db, c), ...], and the set of b'
@@ -255,12 +257,14 @@ def twisted_tensor(field, a_mul, b_mul, db, twist, factor_dims, labels, unit,
         return gen, reach
 
     def pair(i, j):
-        nonlocal row_i, gens
-        if not b_rows:
-            b_rows.extend({b2: list(prod.items()) for b2 in range(db)
-                           if (prod := b_mul(b3, b2))} for b3 in range(db))
-        if i != row_i:
-            row_i, gens = i, {}
+        nonlocal b_rows, current
+        if b_rows is None:
+            b_rows = [{b2: list(prod.items()) for b2 in range(db)
+                       if (prod := b_mul(b3, b2))} for b3 in range(db)]
+        row_i, gens = current
+        if row_i != i:
+            gens = {}
+            current = (i, gens)
         a2, b2 = divmod(j, db)
         gen = gens.get(a2)
         if gen is None:

@@ -12,6 +12,7 @@ import resource
 import subprocess
 import sys
 import textwrap
+import threading
 
 import pytest
 
@@ -99,6 +100,36 @@ def test_every_pair_matches_the_reference(name, which, order,
     handle, _ = build(name, which)
     for i, j in reading_order(order, handle.dim, seed=len(want)):
         assert handle.basis_product(i, j) == want[(i, j)], (i, j)
+
+
+def test_threads_filling_one_handle_read_the_reference(reference_products,
+                                                       cyclic3, setup_c3):
+    # each call must use the generators of its own row, even when another
+    # thread moved the oracle to a different row in between
+    want = reference_products("cyclic:3", "Y")
+    orders = [reading_order(order, 81, seed)
+              for seed, order in enumerate(ORDERS + ["random"])]
+
+    def fill(handle, order, out):
+        for i, j in order:
+            out[(i, j)] = handle.basis_product(i, j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            handle = build_xyz(cyclic3, "Y", setup_c3)
+            got = [{} for _ in orders]
+            threads = [threading.Thread(target=fill, args=(handle, *args))
+                       for args in zip(orders, got)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert all(out == want for out in got)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("which", ["X", "Y", "Z"])
