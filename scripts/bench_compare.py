@@ -3,11 +3,10 @@
 
     python3 scripts/bench_compare.py --base HEAD --workload cli-cold --pairs 10
 
-Each of the N pairs runs `perfbench/run.py --trace 0` once on each side,
-in alternating order and with the same seed, each run in a fresh
-`git archive` copy made in a temporary directory.  The working tree is
-archived through a scratch index, so uncommitted and untracked files
-count.  Both copies are byte-compiled first, so that neither side's
+Each of the N pairs runs `perfbench/run.py --trace 0` once per side, in
+alternating order with the same seed, each run in a fresh `git archive`
+copy (the working tree goes through a scratch index, so untracked files
+count).  Both copies are byte-compiled first, so that neither side's
 `peak_rss_mb` includes compiling the package.  Prints, per end-to-end
 metric, both medians, the base's quartiles and the change's wins.
 """
@@ -72,8 +71,8 @@ def main():
             f"{s} wall_s {runs[s][-1]['wall_s']:.4g}" for s in order),
             flush=True)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        metrics = json.load(f)["end_to_end"]
-    for m in metrics:
+        end_to_end = json.load(f)["end_to_end"]
+    for m in end_to_end:
         name, sign = m["name"], 1 if m["better"] == "lower" else -1
         base = [r[name] for r in runs["base"]]
         change = [r[name] for r in runs["change"]]
