@@ -2,6 +2,7 @@
 """Compare the benchmark on a base revision and on the working tree.
 
     python3 scripts/bench_compare.py --base HEAD --workload cli-cold --pairs 10
+    python3 scripts/bench_compare.py --workload cli-cold --pairs 0 --trace-seed 3001
 
 Each of the N pairs runs `perfbench/run.py --trace 0` once per side, in
 alternating order with the same seed, each run in a fresh `git archive`
@@ -9,6 +10,10 @@ copy (the working tree goes through a scratch index, so untracked files
 count).  Both copies are byte-compiled first, so that neither side's
 `peak_rss_mb` includes compiling the package.  Prints, per end-to-end
 metric, both medians, the base's quartiles and the change's wins.
+
+With `--trace-seed N` it then runs `--trace 1` once per side with seed N
+and prints each per-layer metric that moved: every changed call count,
+and every other metric that changed by more than MOVED (a fraction).
 """
 
 import argparse
@@ -20,6 +25,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MOVED = 0.05
 
 
 def git(*args, env=None):
@@ -35,7 +41,7 @@ def working_tree():
         return git("write-tree", env=env)
 
 
-def run_once(tree, args, seed):
+def run_once(tree, args, seed, trace=0):
     with tempfile.TemporaryDirectory() as copy:
         archive = subprocess.run(["git", "archive", tree], cwd=ROOT,
                                  check=True, capture_output=True).stdout
@@ -45,31 +51,15 @@ def run_once(tree, args, seed):
         out = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", args.workload,
              "--seed", str(seed), "--seconds", str(args.seconds),
-             "--trace", "0"], cwd=copy, capture_output=True, text=True)
+             "--trace", str(trace)], cwd=copy, capture_output=True,
+            text=True)
     result = json.loads(out.stdout.strip().splitlines()[-1])
     if not result["correct"]:
         sys.exit(f"{tree} seed {seed}: incorrect run\n{out.stdout}")
     return {k: v["value"] for k, v in result["metrics"].items()}
 
 
-def main():
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--base", default="HEAD")
-    p.add_argument("--workload", required=True)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=int, default=30)
-    p.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    args = p.parse_args()
-    sides = {"base": git("rev-parse", f"{args.base}^{{tree}}"),
-             "change": working_tree()}
-    runs = {"base": [], "change": []}
-    for k in range(args.pairs):
-        order = ["base", "change"] if k % 2 == 0 else ["change", "base"]
-        for side in order:
-            runs[side].append(run_once(sides[side], args, args.seed + k))
-        print(f"pair {k + 1}/{args.pairs}: " + ", ".join(
-            f"{s} wall_s {runs[s][-1]['wall_s']:.4g}" for s in order),
-            flush=True)
+def compare_ends(runs, pairs):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         end_to_end = json.load(f)["end_to_end"]
     for m in end_to_end:
@@ -81,7 +71,50 @@ def main():
         mb, mc = statistics.median(base), statistics.median(change)
         print(f"{name}: {mb:.4g} -> {mc:.4g} ({(mc - mb) / mb:+.1%}), "
               f"base quartiles [{q1:.4g}, {q3:.4g}], "
-              f"change wins {wins}/{args.pairs}")
+              f"change wins {wins}/{pairs}")
+
+
+def compare_layers(sides, args):
+    """One traced run per side; prints the per-layer metrics that moved."""
+    traced = {side: run_once(tree, args, args.trace_seed, trace=1)
+              for side, tree in sides.items()}
+    base, change = traced["base"], traced["change"]
+    print(f"per-layer metrics that moved (--trace 1, seed {args.trace_seed}):")
+    for name in sorted(base.keys() | change.keys()):
+        b, c = base.get(name), change.get(name)
+        if b is None or c is None:
+            print(f"  {name}: {b} -> {c}")
+        elif name.endswith(".calls") and b != c:
+            print(f"  {name}: {b} -> {c}")
+        elif abs(c - b) > MOVED * abs(b):
+            rel = f" ({(c - b) / b:+.1%})" if b else ""
+            print(f"  {name}: {b:.4g} -> {c:.4g}{rel}")
+
+
+def main():
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--base", default="HEAD")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=int, default=30)
+    p.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    p.add_argument("--trace-seed", type=int,
+                   help="seed of one traced run per side")
+    args = p.parse_args()
+    sides = {"base": git("rev-parse", f"{args.base}^{{tree}}"),
+             "change": working_tree()}
+    runs = {"base": [], "change": []}
+    for k in range(args.pairs):
+        order = ["base", "change"] if k % 2 == 0 else ["change", "base"]
+        for side in order:
+            runs[side].append(run_once(sides[side], args, args.seed + k))
+        print(f"pair {k + 1}/{args.pairs}: " + ", ".join(
+            f"{s} wall_s {runs[s][-1]['wall_s']:.4g}" for s in order),
+            flush=True)
+    if args.pairs >= 2:
+        compare_ends(runs, args.pairs)
+    if args.trace_seed is not None:
+        compare_layers(sides, args)
 
 
 if __name__ == "__main__":

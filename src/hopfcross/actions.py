@@ -16,8 +16,9 @@ element of H" is coefficient extraction.
 
 from dataclasses import dataclass
 
-from .algebra import (associativity_blocks, dual_hopf, multiplicative_items,
-                      tensor_algebra, tensor_hopf, tensor_product, variant)
+from .algebra import (associativity_blocks, block_item, dual_hopf,
+                      multiplicative_items, tensor_algebra, tensor_hopf,
+                      tensor_product, variant)
 from .errors import DimensionMismatchError, UnverifiedActionError
 from .linalg import LinearMap, sv_add_into, sv_canon, sv_tensor
 from .report import certify_exhaustive
@@ -123,7 +124,17 @@ def check_module_algebra(side, hopf, alg, act):
 
 
 def module_algebra_items(side, hopf, alg, act):
-    """Items of `check_module_algebra`, for the checks that chain it."""
+    """Items of `check_module_algebra`, for the checks that chain it.
+
+    After the module items come, per actor h, its unit item and then
+    h.(ab) = sum (h1.a)(h2.b) (read (ab).h = sum (a.h1)(b.h2) on the
+    right) as one block per (h, a) in the manner of
+    `associativity_blocks`: both sides for every b at once, keyed by the
+    flattened (b, s) and read by `block_item`.  An equal block is one
+    item of count dim A and witness (h, a); a block that differs gives
+    its first failing (h, a, b), so the report is that of the per-triple
+    stream.
+    """
     if act.side != side:
         raise ValueError(f"action is {act.side}-sided, expected {side}")
     if act.space_dim != alg.dim:
@@ -131,22 +142,42 @@ def module_algebra_items(side, hopf, alg, act):
     yield from module_items(act, hopf.algebra)
     field = act.field
     one = field.one
+    n = alg.dim
     unit_a = alg.unit_sv()
     counit = hopf.coalgebra.counit
     axiom = f"module-algebra-{side}"
+    mul = alg.mul_basis
+    # acts[x] = {b: x acting on b}, nonzero only
+    acts = [{b: out for b in range(n) if (out := act.act_basis(x, b))}
+            for x in range(hopf.dim)]
     for h in range(hopf.dim):
         yield (0, "module-algebra-unit", (h,), act.act_sv({h: one}, unit_a),
                sv_canon(field, {k: counit[h] * c for k, c in unit_a.items()}))
         delta = hopf.coalgebra.delta(h)
-        for a in range(alg.dim):
-            for b in range(alg.dim):
-                acc = {}
-                for h1, h2, c in delta:
-                    part = alg.mul_sv(act.act_basis(h1, a), act.act_basis(h2, b))
-                    sv_add_into(acc, part, c)
-                yield (1, axiom, (h, a, b),
-                       act.act_sv({h: one}, alg.mul_basis(a, b)),
-                       sv_canon(field, acc))
+        on_h = acts[h]
+        for a in range(n):
+            lhs, rhs = {}, {}
+            for b in range(n):
+                at = b * n
+                for m, c in mul(a, b).items():
+                    out = on_h.get(m)
+                    if out:
+                        for s, c2 in out.items():
+                            key = at + s
+                            lhs[key] = lhs.get(key, 0) + c * c2
+            for h1, h2, c in delta:
+                first = acts[h1].get(a)
+                if not first:
+                    continue
+                for u, c1 in first.items():
+                    w = c * c1
+                    for b, out in acts[h2].items():
+                        at = b * n
+                        for v, c2 in out.items():
+                            for s, c3 in mul(u, v).items():
+                                key = at + s
+                                rhs[key] = rhs.get(key, 0) + w * c2 * c3
+            yield block_item(field, axiom, (h, a), n, n, lhs, rhs)
 
 
 def check_coaction_axioms(coact, coalgebra):
@@ -382,6 +413,6 @@ def comodule_algebra_map(hopf):
         yield from multiplicative_items(
             field, "comodule-algebra-map", n, dual.algebra.mul_basis, cols,
             tensor_product(field, dual.algebra.mul_basis,
-                           big.algebra.mul_basis, n * n))
+                           big.algebra.mul_basis, n, n * n))
 
     return lm, certify_exhaustive(items())

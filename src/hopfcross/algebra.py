@@ -289,17 +289,27 @@ def associativity_blocks(field, n, m_dim, basis_product, act_basis, side,
                         for s, c2 in out.items():
                             key = at + s
                             right[key] = right.get(key, 0) + c * c2
-        left, right = sv_canon(field, left), sv_canon(field, right)
-        if left == right:
-            yield n * m_dim, axiom, (i,), left, right
-            continue
-        jt = min(k for k in left.keys() | right.keys()
-                 if left.get(k) != right.get(k)) // m_dim
-        at = jt * m_dim
-        j, t = divmod(jt, m_dim)
-        yield (jt + 1, axiom, (i, j, t),
-               {k - at: c for k, c in left.items() if k // m_dim == jt},
-               {k - at: c for k, c in right.items() if k // m_dim == jt})
+        yield block_item(field, axiom, (i,), n * m_dim, m_dim, left, right,
+                         lambda jt: divmod(jt, m_dim))
+
+
+def block_item(field, axiom, witness, count, width, left, right,
+               index=lambda q: (q,)):
+    """The item of a block of `count` identities whose two sides are
+    sparse dicts keyed by q * width + s, identity q owning the keys with
+    that q.  Equal canonical dicts give one item of count `count` and
+    witness `witness`.  Otherwise the smallest differing key names the
+    first failing identity q: one item of count q + 1, witness
+    `witness + index(q)` and both sides restricted to q, keyed by s."""
+    left, right = sv_canon(field, left), sv_canon(field, right)
+    if left == right:
+        return count, axiom, witness, left, right
+    q = min(k for k in left.keys() | right.keys()
+            if left.get(k) != right.get(k)) // width
+    at = q * width
+    return (q + 1, axiom, witness + index(q),
+            {k - at: c for k, c in left.items() if k // width == q},
+            {k - at: c for k, c in right.items() if k // width == q})
 
 
 def multiplicative_items(field, axiom, n, src_mul, images, dst_product):
@@ -373,7 +383,7 @@ def _hopf_items(hopf):
     images = [coa.delta_sv({k: field.one}) for k in range(n)]
     for item in multiplicative_items(
             field, "comult-multiplicative", n, alg.mul_basis, images,
-            tensor_product(field, alg.mul_basis, alg.mul_basis, n)):
+            tensor_product(field, alg.mul_basis, alg.mul_basis, n, n)):
         yield item
         i, j = item[2]
         yield (0, "counit-multiplicative", (i, j),
@@ -499,12 +509,14 @@ def tensor_algebra(a, b):
     return AlgebraData(field, da * db, labels, mult, unit)
 
 
-def tensor_product(field, a_mul, b_mul, db):
+def tensor_product(field, a_mul, b_mul, da, db):
     """The sparse product (a (x) b)(a' (x) b') = aa' (x) bb' of A (x) B on
-    the left-major flattened basis, from the basis products of A and B
-    and dim B; no structure constants of A (x) B are built.  The terms
-    of y are grouped by their A index, so A is multiplied once per term
-    of x and A index of y, and a zero product of A skips its B work."""
+    the left-major flattened basis, from the basis products and dims of
+    A and B; no structure constants of A (x) B are built.  The terms of
+    y are grouped by their A index, and the nonzero products of A are
+    tabled by row on first use, so a term of x meets only the A indices
+    of y that it multiplies to nonzero."""
+    a_rows = {}     # a -> {a2: a a2} over the nonzero products
 
     def product(x, y):
         by_a = {}
@@ -514,9 +526,13 @@ def tensor_product(field, a_mul, b_mul, db):
         acc = {}
         for s, cx in x.items():
             a1, b1 = divmod(s, db)
-            for a2, terms in by_a.items():
-                first = a_mul(a1, a2)
-                if first:
+            row = a_rows.get(a1)
+            if row is None:
+                row = a_rows[a1] = {a2: prod for a2 in range(da)
+                                    if (prod := a_mul(a1, a2))}
+            for a2, first in row.items():
+                terms = by_a.get(a2)
+                if terms:
                     second = {}
                     for b2, cy in terms:
                         sv_add_into(second, b_mul(b1, b2), cy)

@@ -191,7 +191,7 @@ def _taft(n, p):
     alg = AlgebraData(field, dim, labels, mult, unit)
 
     # Delta(g^i x^j) = (g (x) g)^i (x (x) 1 + g (x) x)^j, computed in A (x) A.
-    sq = tensor_product(field, alg.mul_basis, alg.mul_basis, dim)
+    sq = tensor_product(field, alg.mul_basis, alg.mul_basis, dim, dim)
     sq_unit = {idx(0, 0) * dim + idx(0, 0): field.one}
     dg = {idx(1, 0) * dim + idx(1, 0): field.one}
     dx = sv_canon(field, {idx(0, 1) * dim + idx(0, 0): field.one,

@@ -26,21 +26,19 @@ dual D and K = H (x) H^op:
   straightens ((1(x)1)(x)(p(x)q)) ((g(x)h)(x)(1(x)1)) to
   sum (g2 (x) h2) (x) (S^-1(h1)->p<-S(g1) (x) S(h3)->q<-S^-1(g3)).
 
-Basis-pair products are cached the first time they are asked for, as
-flat (k1, c1, k2, c2, ...) tuples in one row per left index i.  A row is
-allocated when its first pair is asked for, so a handle costs O(dim)
-until it is used, and every zero product is the one shared ZERO_PAIR.
-A pair is computed as (e_i (a' (x) 1)) (1 (x) b'): R is evaluated once
-per basis pair (b, a'), the generator products e_i (a' (x) 1) once per
-(i, a') while row i is being filled, and a pair whose b' none of their
-terms multiplies to nonzero costs one set lookup.  So exhaustive checks
-and repeated oracle products cost one expansion per pair; iterated
-coproducts are cached on the coalgebras.
-Once every pair (i, .) is cached, `product_dense` compiles row i into
-one flat [j, k, c, ...] list of the nonzero structure constants of
-e_i e_j = sum c e_k and loops over those terms only.  A row compiles only
-when fully evaluated, so a dense product never evaluates a pair whose
-two coordinates are not both nonzero.
+Products are read off the generator products e_i (a' (x) 1) and the
+nonzero products of B, by two routes.  The sparse products and the
+exhaustive certificates read basis pairs (e_i (a' (x) 1)) (1 (x) b'),
+cached the first time they are asked for as flat (k1, c1, k2, c2, ...)
+tuples in one row per left index i.  A pair row is allocated when its
+first pair is asked for, so a handle costs O(dim) until it is used, and
+every zero product is the one shared ZERO_PAIR.  `product_dense` reads
+compiled rows: row i is one flat [j, k, c, ...] list of the nonzero
+structure constants of e_i e_j = sum c e_k, built straight from the
+generators of i on the first product with x_i != 0, and the product
+loops over those terms only.  It has this one path and evaluates no
+pair.  R is evaluated once per basis pair (b, a'); iterated coproducts
+are cached on the coalgebras.
 
 The maps between X, Y and Z and the module actions on Hopf bimodules
 move the dual slots p and q by the same regular arrows.  A slot rule
@@ -48,6 +46,8 @@ names how many coproduct legs of kappa = h (x) g in K to take, which
 `StandardTriple.moves` table moves p and q by which leg, and which leg
 is kept in the K slot; `StandardTriple.expand` evaluates one rule.
 """
+
+import math
 
 from .algebra import (AlgebraData, check_unit_and_associativity, dual_hopf,
                       op_algebra, tensor_algebra, tensor_hopf, variant)
@@ -71,23 +71,23 @@ class AlgebraHandle:
     `pair_fn(i, j)` returns the sparse product of basis elements i and j.
     Results are cached in `_pairs`, one row per left index i, allocated
     when a pair (i, .) is first asked for; a zero product is stored as
-    the shared ZERO_PAIR.  Fully evaluated rows are compiled by `_row`.
-    `materialized` is filled by `materialize`.
+    the shared ZERO_PAIR.  `basis_product` and `product` read them.
+    `_row(i)` compiles row i on first use, for `product_dense`: from
+    `row_fn(i)` when the builder gives one, else from the pair oracle
+    over every j.  `materialized` is filled by `materialize`.
     """
 
     def __init__(self, field, factor_dims, basis_labels, unit_sv, pair_fn,
-                 provenance):
+                 provenance, row_fn=None):
         self.field = field
         self.factor_dims = tuple(factor_dims)
-        dim = 1
-        for d in self.factor_dims:
-            dim *= d
-        self.dim = dim
+        self.dim = dim = math.prod(self.factor_dims)
         self.basis_labels = basis_labels
         self.unit = dict(unit_sv)
         self.provenance = provenance
         self.materialized = None
         self._pair_fn = pair_fn
+        self._row_fn = row_fn
         self._pairs = [None] * dim
         self._rows = [None] * dim
 
@@ -110,16 +110,17 @@ class AlgebraHandle:
 
     def _row(self, i):
         """Row i as [j, k, c, ...] over every nonzero e_i e_j = sum c e_k,
-        or None while some pair (i, j) is unevaluated."""
+        sorted by (j, k); compiled on first use."""
         row = self._rows[i]
         if row is None:
-            flats = self._pairs[i]
-            if flats is None or None in flats:
-                return None
-            row = []
-            for j, flat in enumerate(flats):
-                for t in range(0, len(flat), 2):
-                    row += (j, flat[t], flat[t + 1])
+            if self._row_fn is not None:
+                row = self._row_fn(i)
+            else:
+                row = []
+                for j in range(self.dim):
+                    flat = self._pair(i, j)
+                    for t in range(0, len(flat), 2):
+                        row += (j, flat[t], flat[t + 1])
             self._rows[i] = row
         return row
 
@@ -140,28 +141,14 @@ class AlgebraHandle:
         return sv_canon(self.field, acc)
 
     def product_dense(self, xs, ys):
-        n = self.dim
-        acc = [0] * n
+        acc = [0] * self.dim
         zero = self.field.zero
-        pair = self._pair
-        for i in range(n):
-            a = xs[i]
+        for i, a in enumerate(xs):
             if a == zero:
                 continue
-            row = self._row(i)
-            if row is not None:
-                terms = iter(row)
-                for j, k, c in zip(terms, terms, terms):
-                    acc[k] += a * ys[j] * c
-                continue
-            for j in range(n):
-                b = ys[j]
-                if b == zero:
-                    continue
-                flat = pair(i, j)
-                ab = a * b
-                for t in range(0, len(flat), 2):
-                    acc[flat[t]] += ab * flat[t + 1]
+            terms = iter(self._row(i))
+            for j, k, c in zip(terms, terms, terms):
+                acc[k] += a * ys[j] * c
         canon = self.field.canon
         return [canon(v) for v in acc]
 
@@ -217,50 +204,71 @@ def twisted_tensor(field, a_mul, b_mul, db, twist, factor_dims, labels, unit,
     """A (x)_R B, with `twist(b, a')` = R(b (x) a') on the flattened basis.
 
     `a_mul` and `b_mul` are the basis products of A and B, and `db` is
-    dim B.  Pair (i, j) = (a (x) b)(a' (x) b') is computed regrouped as
-    (e_i (a' (x) 1)) (1 (x) b'):
+    dim B.  Everything is read off the generator products
+    e_i (a' (x) 1) = sum c (a a3) (x) b3, over R(b (x) a') =
+    sum c a3 (x) b3, and the nonzero products b3 b' of B, tabled once
+    on first use:
 
-    * the generator product e_i (a' (x) 1) = sum c (a a3) (x) b3, over
-      R(b (x) a') = sum c a3 (x) b3, is kept for the current left index
-      i only, one per a', and all are dropped when i changes;
-    * the nonzero products b3 b' are tabled once, on the first pair, so
-      a pair (i, j) whose b' no generator term b3 reaches is zero at
-      once, and the others loop over nonzero terms only.
+    * pair (i, j) = (a (x) b)(a' (x) b') is (e_i (a' (x) 1)) (1 (x) b');
+      the generators are kept for the current left index i only, one
+      per a', so a pair whose b' no generator term b3 reaches is zero
+      at once, and the others loop over nonzero terms only;
+    * row i, for `product_dense`, multiplies every generator of i by
+      every nonzero b3 b' into one dict keyed by (j, k), with no pair
+      evaluated or stored.
 
-    R is evaluated once per basis pair (b, a'); the results are kept on
-    the handle as `twists`.
+    The products a a3 of A are kept for the last a asked for, which
+    the db rows i = a db + b share.  R is evaluated once per basis pair
+    (b, a'); the results are kept on the handle as `twists`.
     """
     twists = {}
     b_rows = None       # b3 -> {b': [(b5, c), ...]} over the nonzero b3 b'
-    # (i, {a': generator}) of the row being filled; a new row binds a new
-    # pair, so a call never reads the generators of another row
+    # (i, {a': (generator, reach)}) of the pair row being filled, and
+    # (a, {a3: a a3}) of the last left A index; each is rebound whole,
+    # so a call never reads the generators or products of another index
     current = (None, {})
+    a_cache = (None, {})
+    dim = math.prod(factor_dims)
+    da = dim // db
+
+    def products_of_b():
+        nonlocal b_rows
+        if b_rows is None:
+            b_rows = [{b2: list(prod.items()) for b2 in range(db)
+                       if (prod := b_mul(b3, b2))} for b3 in range(db)]
+        return b_rows
+
+    def products_of(a):
+        """The products a a3 of A kept for a, as {a3: [(a4, c), ...]}."""
+        nonlocal a_cache
+        cached, prods = a_cache
+        if cached != a:
+            prods = {}
+            a_cache = (a, prods)
+        return prods
 
     def generator(a, b, a2):
-        """e_i (a' (x) 1) as [(b3, a4 * db, c), ...], and the set of b'
-        that some of its b3 multiply to nonzero."""
+        """e_i (a' (x) 1) as [(b3, a4 * db, c), ...], canonical."""
         terms = twists.get((b, a2))
         if terms is None:
             terms = [(*divmod(k, db), c)
                      for k, c in sv_canon(field, twist(b, a2)).items()]
             twists[(b, a2)] = terms
+        a_prods = products_of(a)
         acc = {}
         for a3, b3, c in terms:
-            for a4, ca in a_mul(a, a3).items():
+            prod = a_prods.get(a3)
+            if prod is None:
+                prod = a_prods[a3] = list(a_mul(a, a3).items())
+            for a4, ca in prod:
                 key = a4 * db + b3
                 acc[key] = acc.get(key, 0) + c * ca
-        gen, reach = [], set()
-        for k, c in sv_canon(field, acc).items():
-            b3 = k % db
-            gen.append((b3, k - b3, c))
-            reach.update(b_rows[b3])
-        return gen, reach
+        return [(k % db, k - k % db, c)
+                for k, c in sv_canon(field, acc).items()]
 
     def pair(i, j):
-        nonlocal b_rows, current
-        if b_rows is None:
-            b_rows = [{b2: list(prod.items()) for b2 in range(db)
-                       if (prod := b_mul(b3, b2))} for b3 in range(db)]
+        nonlocal current
+        rows = products_of_b()
         row_i, gens = current
         if row_i != i:
             gens = {}
@@ -268,20 +276,42 @@ def twisted_tensor(field, a_mul, b_mul, db, twist, factor_dims, labels, unit,
         a2, b2 = divmod(j, db)
         gen = gens.get(a2)
         if gen is None:
-            gen = gens[a2] = generator(*divmod(i, db), a2)
+            terms = generator(*divmod(i, db), a2)
+            gen = gens[a2] = (terms, {t for b3, _, _ in terms
+                                      for t in rows[b3]})
         terms, reach = gen
         if b2 not in reach:
             return {}
         acc = {}
         for b3, base, c in terms:
-            prod = b_rows[b3].get(b2)
+            prod = rows[b3].get(b2)
             if prod:
                 for b5, cb in prod:
                     key = base + b5
                     acc[key] = acc.get(key, 0) + c * cb
         return sv_canon(field, acc)
 
-    handle = AlgebraHandle(field, factor_dims, labels, unit, pair, provenance)
+    def row(i):
+        """Row i as [j, k, c, ...]: every generator term b3 times every
+        nonzero b3 b', summed into one dict keyed by (j, k)."""
+        rows = products_of_b()
+        a, b = divmod(i, db)
+        acc = {}
+        for a2 in range(da):
+            j0 = a2 * db
+            for b3, base, c in generator(a, b, a2):
+                for b2, prod in rows[b3].items():
+                    at = (j0 + b2) * dim + base
+                    for b5, cb in prod:
+                        key = at + b5
+                        acc[key] = acc.get(key, 0) + c * cb
+        out = []
+        for key, c in sorted(sv_canon(field, acc).items()):
+            out += (*divmod(key, dim), c)
+        return out
+
+    handle = AlgebraHandle(field, factor_dims, labels, unit, pair,
+                           provenance, row)
     handle.twists = twists
     return handle
 

@@ -338,7 +338,7 @@ def random_sparse(field, rng, dim):
 def test_tensor_product_matches_tensor_algebra(left, right):
     a, b = built(left)[0].algebra, built(right)[0].algebra
     whole = tensor_algebra(a, b)
-    product = tensor_product(a.field, a.mul_basis, b.mul_basis, b.dim)
+    product = tensor_product(a.field, a.mul_basis, b.mul_basis, a.dim, b.dim)
     rng = random.Random(f"{left}/{right}")
     nonzero = 0
     for _ in range(60):

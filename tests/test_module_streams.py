@@ -19,7 +19,7 @@ from hopfcross import actions, bimodules
 from hopfcross.actions import (ActionData, check_bimodule_algebra,
                                check_module_algebra, check_module_axioms,
                                regular_actions)
-from hopfcross.algebra import random_dense_vector
+from hopfcross.algebra import dual_hopf, op_algebra, random_dense_vector
 from hopfcross.bimodules import (assemble_two_sided_action,
                                  c_action_from_bimodule, check_hopf_bimodule,
                                  composite_action, example_bimodule,
@@ -29,7 +29,7 @@ from hopfcross.bimodules import (assemble_two_sided_action,
 from hopfcross.catalog import catalog_named
 from hopfcross.crossed import StandardTriple
 from hopfcross.isos import build_iso
-from hopfcross.linalg import sv_from_list
+from hopfcross.linalg import sv_add_into, sv_canon, sv_from_list
 from hopfcross.report import (MORPHISM_DIM_CAP, CheckMode, certify,
                               certify_exhaustive)
 
@@ -183,6 +183,81 @@ def test_bimodule_algebra_matches_the_triple_stream(monkeypatch, name):
                 == summary(reference(monkeypatch, check_bimodule_algebra,
                                      *args)))
     assert check_bimodule_algebra(setup.K, setup.C, *pair).passed
+
+
+def reference_module_algebra_items(side, hopf, alg, act):
+    """`actions.module_algebra_items` before the block check: one item
+    per triple (h, a, b)."""
+    yield from reference_module_items(act, hopf.algebra)
+    field = act.field
+    one = field.one
+    unit_a = alg.unit_sv()
+    counit = hopf.coalgebra.counit
+    axiom = f"module-algebra-{side}"
+    for h in range(hopf.dim):
+        yield (0, "module-algebra-unit", (h,), act.act_sv({h: one}, unit_a),
+               sv_canon(field, {k: counit[h] * c for k, c in unit_a.items()}))
+        delta = hopf.coalgebra.delta(h)
+        for a in range(alg.dim):
+            for b in range(alg.dim):
+                acc = {}
+                for h1, h2, c in delta:
+                    part = alg.mul_sv(act.act_basis(h1, a),
+                                      act.act_basis(h2, b))
+                    sv_add_into(acc, part, c)
+                yield (1, axiom, (h, a, b),
+                       act.act_sv({h: one}, alg.mul_basis(a, b)),
+                       sv_canon(field, acc))
+
+
+def product_corruptions(alg, seed):
+    """Seeded edits of the product of `alg`, which leave every module
+    axiom of an action on it intact: a random and the last nonzero
+    product doubled, and the last (absent or not) set to e_0."""
+    rng = random.Random(seed)
+    keys = sorted(alg.mult)
+    out = []
+    for key, value in ((keys[rng.randrange(len(keys))], None),
+                       (keys[-1], None), ((alg.dim - 1, alg.dim - 1), 0)):
+        mult = dict(alg.mult)
+        mult[key] = ({0: alg.field.one} if value == 0 else
+                     {k: alg.field.canon(2 * c) for k, c in mult[key].items()})
+        out.append(replace(alg, mult=mult))
+    return out
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_module_algebra_blocks_match_the_per_triple_stream(name):
+    hopf, setup, _ = built(name)
+    unit = setup.K.algebra.unit_sv()
+    cases = (("left", setup.dual.algebra, setup.act_on_dual),
+             ("right", setup.dual_op_alg, setup.act_on_dual_op),
+             ("left", setup.C, setup.act_left_C),
+             ("right", setup.C, setup.act_right_C))
+    failed_at = set()
+    for n, (side, alg, act) in enumerate(cases):
+        runs = [(alg, act)]
+        runs += [(bad, act) for bad in product_corruptions(alg, f"{name}/{n}")]
+        runs += [(alg, bad) for bad in corruptions(act, unit, f"{name}/{n}")]
+        for alg_run, act_run in runs:
+            args = (side, setup.K, alg_run, act_run)
+            got = certify_exhaustive(actions.module_algebra_items(*args))
+            want = certify_exhaustive(reference_module_algebra_items(*args))
+            assert summary(got) == summary(want), (side, n)
+            if not got.passed:
+                failed_at.add(got.first().axiom)
+        assert check_module_algebra(side, setup.K, alg, act).passed
+    assert {"module-algebra-left", "module-algebra-right"} <= failed_at
+
+
+def test_module_algebra_block_reports_the_pinned_triple():
+    hopf = catalog_named("sweedler4")
+    args = ("left", hopf, op_algebra(dual_hopf(hopf).algebra),
+            regular_actions(hopf)[0])
+    got = check_module_algebra(*args)
+    want = certify_exhaustive(reference_module_algebra_items(*args))
+    assert summary(got) == summary(want)
+    assert got.first().witness == (2, 0, 2)
 
 
 @pytest.mark.parametrize("name", NAMES)
