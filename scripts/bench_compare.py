@@ -26,6 +26,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MOVED = 0.05
+STDERR_TAIL = 20     # lines of stderr shown for a run without a result
 
 
 def git(*args, env=None):
@@ -41,7 +42,8 @@ def working_tree():
         return git("write-tree", env=env)
 
 
-def run_once(tree, args, seed, trace=0):
+def run_once(side, tree, args, seed, trace=0):
+    """Metrics of one `perfbench/run.py` run of `tree` (see `metrics_of`)."""
     with tempfile.TemporaryDirectory() as copy:
         archive = subprocess.run(["git", "archive", tree], cwd=ROOT,
                                  check=True, capture_output=True).stdout
@@ -53,9 +55,24 @@ def run_once(tree, args, seed, trace=0):
              "--seed", str(seed), "--seconds", str(args.seconds),
              "--trace", str(trace)], cwd=copy, capture_output=True,
             text=True)
-    result = json.loads(out.stdout.strip().splitlines()[-1])
-    if not result["correct"]:
-        sys.exit(f"{tree} seed {seed}: incorrect run\n{out.stdout}")
+    return metrics_of(side, tree, seed, out)
+
+
+def metrics_of(side, tree, seed, out):
+    """The metrics in the last stdout line of the finished run `out`.
+    Exits naming the side, tree and seed when the run is incorrect, or
+    prints no result line (it crashed or exited 2): then with its exit
+    code and the last STDERR_TAIL lines of its stderr."""
+    lines = out.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+        correct = result["correct"]
+    except (IndexError, json.JSONDecodeError, TypeError, KeyError):
+        tail = "\n".join(out.stderr.strip().splitlines()[-STDERR_TAIL:])
+        sys.exit(f"{side} ({tree}) seed {seed}: no result line, "
+                 f"exit code {out.returncode}\n{tail}")
+    if not correct:
+        sys.exit(f"{side} ({tree}) seed {seed}: incorrect run\n{out.stdout}")
     return {k: v["value"] for k, v in result["metrics"].items()}
 
 
@@ -76,7 +93,7 @@ def compare_ends(runs, pairs):
 
 def compare_layers(sides, args):
     """One traced run per side; prints the per-layer metrics that moved."""
-    traced = {side: run_once(tree, args, args.trace_seed, trace=1)
+    traced = {side: run_once(side, tree, args, args.trace_seed, trace=1)
               for side, tree in sides.items()}
     base, change = traced["base"], traced["change"]
     print(f"per-layer metrics that moved (--trace 1, seed {args.trace_seed}):")
@@ -107,7 +124,8 @@ def main():
     for k in range(args.pairs):
         order = ["base", "change"] if k % 2 == 0 else ["change", "base"]
         for side in order:
-            runs[side].append(run_once(sides[side], args, args.seed + k))
+            runs[side].append(run_once(side, sides[side], args,
+                                       args.seed + k))
         print(f"pair {k + 1}/{args.pairs}: " + ", ".join(
             f"{s} wall_s {runs[s][-1]['wall_s']:.4g}" for s in order),
             flush=True)

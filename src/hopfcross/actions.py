@@ -16,9 +16,9 @@ element of H" is coefficient extraction.
 
 from dataclasses import dataclass
 
-from .algebra import (associativity_blocks, block_item, dual_hopf,
-                      multiplicative_items, tensor_algebra, tensor_hopf,
-                      tensor_product, variant)
+from .algebra import (algebra_rows, associativity_blocks, block_item,
+                      dual_hopf, multiplicative_items, tensor_algebra,
+                      tensor_hopf, tensor_rows, variant)
 from .errors import DimensionMismatchError, UnverifiedActionError
 from .linalg import LinearMap, sv_add_into, sv_canon, sv_tensor
 from .report import certify_exhaustive
@@ -410,9 +410,10 @@ def comodule_algebra_map(hopf):
         unit = dual.algebra.unit_sv()
         yield (0, "comodule-algebra-unit", (), lm.apply_sv(unit),
                sv_tensor(field, [unit, big.algebra.unit_sv()], [n, n * n]))
+        row = algebra_rows(dual.algebra).__getitem__
         yield from multiplicative_items(
-            field, "comodule-algebra-map", n, dual.algebra.mul_basis, cols,
-            tensor_product(field, dual.algebra.mul_basis,
-                           big.algebra.mul_basis, n, n * n))
+            field, "comodule-algebra-map", n, row, cols,
+            tensor_rows(row, algebra_rows(big.algebra).__getitem__, n * n),
+            n ** 3)
 
     return lm, certify_exhaustive(items())

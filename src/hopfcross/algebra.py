@@ -312,21 +312,123 @@ def block_item(field, axiom, witness, count, width, left, right,
             {k - at: c for k, c in right.items() if k // width == q})
 
 
-def multiplicative_items(field, axiom, n, src_mul, images, dst_product):
+def multiplicative_items(field, axiom, n, src_row, images, dst_row, width):
     """Items (1, axiom, (i, j), F(e_i e_j), F(e_i) F(e_j)) for all i, j < n,
-    where F(e_k) = images[k]: the linear map F is multiplicative.
+    where F(e_k) = images[k] has coordinates below `width`: the linear
+    map F is multiplicative.
 
-    `src_mul(i, j)` is the sparse product of source basis elements and
-    `dst_product` the sparse product of the target.  Each caller checks
-    its own unit law."""
+    Rows are mappings {j: [(k, c), ...]} over the nonzero structure
+    constants e_i e_j = sum c e_k (`algebra_rows`, `keyed_rows`,
+    `tensor_rows`): `src_row(i)` of the source, `dst_row(a)` of the
+    target.  The stream runs one left index i at a time.  F(e_i e_j)
+    for every j is summed from the terms of row i of the source.
+    F(e_i) F(e_j) for every j is summed over the terms a of F(e_i),
+    joining row a of the target with the transpose of the images,
+    b -> [(j, coefficient of e_b in F(e_j))], built once; the join walks
+    whichever side is smaller and looks the other up.  Both sides are
+    keyed by j * width + s, canonicalised once per i and split by j, so
+    each item is that of the per-pair loop, and only nonzero basis
+    products are read.  Each caller checks its own unit law."""
+    by_b = {}           # b -> [(j * width, coefficient of e_b in F(e_j))]
+    for j in range(n):
+        for b, c in images[j].items():
+            by_b.setdefault(b, []).append((j * width, c))
     for i in range(n):
-        fi = images[i]
-        for j in range(n):
-            lhs = {}
-            for k, c in src_mul(i, j).items():
-                sv_add_into(lhs, images[k], c)
-            yield (1, axiom, (i, j), sv_canon(field, lhs),
-                   dst_product(fi, images[j]))
+        lhs, rhs = {}, {}
+        for j, prod in src_row(i).items():
+            at = j * width
+            for k, c in prod:
+                for s, cs in images[k].items():
+                    key = at + s
+                    lhs[key] = lhs.get(key, 0) + c * cs
+        for a, ca in images[i].items():
+            row = dst_row(a)
+            if len(row) <= len(by_b):
+                joined = [(col, prod) for b, prod in row.items()
+                          if (col := by_b.get(b))]
+            else:
+                joined = [(col, prod) for b, col in by_b.items()
+                          if (prod := row.get(b))]
+            for col, prod in joined:
+                for s, c in prod:
+                    w = ca * c
+                    for at, cj in col:
+                        key = at + s
+                        rhs[key] = rhs.get(key, 0) + w * cj
+        sides = [{} for _ in range(n)], [{} for _ in range(n)]
+        for side, acc in zip(sides, (lhs, rhs)):
+            for key, c in sv_canon(field, acc).items():
+                j, s = divmod(key, width)
+                side[j][s] = c
+        for j, (left, right) in enumerate(zip(*sides)):
+            yield 1, axiom, (i, j), left, right
+
+
+def algebra_rows(alg):
+    """The rows of `alg` for `multiplicative_items`, as a list: row i is
+    {j: [(k, c), ...]} over the nonzero e_i e_j = sum c e_k, read off
+    `mult` in O(nnz)."""
+    rows = [{} for _ in range(alg.dim)]
+    for (i, j), entries in alg.mult.items():
+        if entries:
+            rows[i][j] = list(entries.items())
+    return rows
+
+
+def keyed_rows(flat_row):
+    """Rows {j: [(k, c), ...]} from rows [j, k, c, ...], such as the
+    compiled rows of a handle, each converted once."""
+    rows = {}
+
+    def row(i):
+        out = rows.get(i)
+        if out is None:
+            out = rows[i] = {}
+            terms = iter(flat_row(i))
+            for j, k, c in zip(terms, terms, terms):
+                out.setdefault(j, []).append((k, c))
+        return out
+    return row
+
+
+def tensor_rows(a_row, b_row, db):
+    """Rows of A (x) B, whose product is componentwise, from the rows of
+    A and of B and dim B: row a1 * db + a2 is read lazily from rows a1
+    and a2, so that a lookup in it costs one lookup in each factor."""
+    def row(a):
+        a1, a2 = divmod(a, db)
+        return _TensorRow(a_row(a1), b_row(a2), db)
+    return row
+
+
+class _TensorRow:
+    """Row (a1, a2) of A (x) B: keyed by b1 * db + b2, with products
+    [(s1 * db + s2, c1 * c2), ...], from row a1 of A and row a2 of B."""
+
+    __slots__ = ("left", "right", "db")
+
+    def __init__(self, left, right, db):
+        self.left, self.right, self.db = left, right, db
+
+    def __len__(self):
+        return len(self.left) * len(self.right)
+
+    def get(self, b):
+        b1, b2 = divmod(b, self.db)
+        first = self.left.get(b1)
+        second = self.right.get(b2) if first else None
+        return self._terms(first, second) if second else None
+
+    def items(self):
+        db = self.db
+        for b1, first in self.left.items():
+            for b2, second in self.right.items():
+                yield b1 * db + b2, self._terms(first, second)
+
+    def _terms(self, first, second):
+        db = self.db
+        return [(s1 * db + s2, c1 * c2) for s1, c1 in first
+                for s2, c2 in second]
 
 
 def check_coalgebra_axioms(coa):
@@ -381,9 +483,10 @@ def _hopf_items(hopf):
            sv_tensor(field, [unit, unit], [n, n]))
     yield 0, "counit-of-unit", (), hopf.counit_sv(unit), field.one
     images = [coa.delta_sv({k: field.one}) for k in range(n)]
+    row = algebra_rows(alg).__getitem__
     for item in multiplicative_items(
-            field, "comult-multiplicative", n, alg.mul_basis, images,
-            tensor_product(field, alg.mul_basis, alg.mul_basis, n, n)):
+            field, "comult-multiplicative", n, row, images,
+            tensor_rows(row, row, n), n * n):
         yield item
         i, j = item[2]
         yield (0, "counit-multiplicative", (i, j),

@@ -28,17 +28,17 @@ dual D and K = H (x) H^op:
 
 Products are read off the generator products e_i (a' (x) 1) and the
 nonzero products of B, by two routes.  The sparse products and the
-exhaustive certificates read basis pairs (e_i (a' (x) 1)) (1 (x) b'),
-cached the first time they are asked for as flat (k1, c1, k2, c2, ...)
-tuples in one row per left index i.  A pair row is allocated when its
-first pair is asked for, so a handle costs O(dim) until it is used, and
-every zero product is the one shared ZERO_PAIR.  `product_dense` reads
-compiled rows: row i is one flat [j, k, c, ...] list of the nonzero
-structure constants of e_i e_j = sum c e_k, built straight from the
-generators of i on the first product with x_i != 0, and the product
-loops over those terms only.  It has this one path and evaluates no
-pair.  R is evaluated once per basis pair (b, a'); iterated coproducts
-are cached on the coalgebras.
+exhaustive associativity and module certificates read basis pairs
+(e_i (a' (x) 1)) (1 (x) b'), cached the first time they are asked for
+as flat (k1, c1, k2, c2, ...) tuples in one row per left index i.
+A pair row is allocated when its first pair is asked for, so a handle
+costs O(dim) until it is used, and every zero product is the one shared
+ZERO_PAIR.  `product_dense`, the exhaustive morphism certificate and
+`materialize` read compiled rows: row i is one flat [j, k, c, ...] list
+of the nonzero structure constants of e_i e_j = sum c e_k, built
+straight from the generators of i on first use, so they loop over
+nonzero terms only and evaluate no pair.  R is evaluated once per basis
+pair (b, a'); iterated coproducts are cached on the coalgebras.
 
 The maps between X, Y and Z and the module actions on Hopf bimodules
 move the dual slots p and q by the same regular arrows.  A slot rule
@@ -72,9 +72,10 @@ class AlgebraHandle:
     Results are cached in `_pairs`, one row per left index i, allocated
     when a pair (i, .) is first asked for; a zero product is stored as
     the shared ZERO_PAIR.  `basis_product` and `product` read them.
-    `_row(i)` compiles row i on first use, for `product_dense`: from
-    `row_fn(i)` when the builder gives one, else from the pair oracle
-    over every j.  `materialized` is filled by `materialize`.
+    `_row(i)` compiles row i on first use, for `product_dense`, the
+    exhaustive morphism certificate and `materialize`: from `row_fn(i)`
+    when the builder gives one, else from the pair oracle over every j.
+    `materialized` is filled by `materialize`.
     """
 
     def __init__(self, field, factor_dims, basis_labels, unit_sv, pair_fn,
@@ -160,7 +161,8 @@ class AlgebraHandle:
 
 
 def materialize(handle, cap=64):
-    """Structure constants from the oracle on all basis pairs.
+    """Structure constants read off the compiled rows, keyed (i, j) in
+    order and each sorted by k, as the basis pairs would give them.
 
     Refuses when dim exceeds the cap, signalling the caller to stay in
     oracle mode.  The result is cached on the handle.
@@ -172,10 +174,9 @@ def materialize(handle, cap=64):
         return handle.materialized
     mult = {}
     for i in range(handle.dim):
-        for j in range(handle.dim):
-            sv = handle.basis_product(i, j)
-            if sv:
-                mult[(i, j)] = sv
+        terms = iter(handle._row(i))
+        for j, k, c in zip(terms, terms, terms):
+            mult.setdefault((i, j), {})[k] = c
     alg = AlgebraData(handle.field, handle.dim, list(handle.basis_labels),
                       mult, handle.unit_dense())
     handle.materialized = alg
@@ -213,9 +214,10 @@ def twisted_tensor(field, a_mul, b_mul, db, twist, factor_dims, labels, unit,
       the generators are kept for the current left index i only, one
       per a', so a pair whose b' no generator term b3 reaches is zero
       at once, and the others loop over nonzero terms only;
-    * row i, for `product_dense`, multiplies every generator of i by
-      every nonzero b3 b' into one dict keyed by (j, k), with no pair
-      evaluated or stored.
+    * row i, for `product_dense`, the morphism certificate and
+      `materialize`, multiplies every generator of i by every nonzero
+      b3 b' into one dict keyed by (j, k), with no pair evaluated or
+      stored.
 
     The products a a3 of A are kept for the last a asked for, which
     the db rows i = a db + b share.  R is evaluated once per basis pair

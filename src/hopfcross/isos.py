@@ -16,11 +16,12 @@ S_K^-1, so that it agrees with alpha is a test between two
 computations, not one computation read twice.
 
 Every certificate here runs through `report.certify`: the morphism check
-by basis pairs or random trials, the inverse and composition checks
-exhaustively, one column of the composite at a time.
+over the compiled rows of both handles or by random trials, the inverse
+and composition checks exhaustively, one column of the composite at a
+time.
 """
 
-from .algebra import multiplicative_items, random_dense_vector
+from .algebra import keyed_rows, multiplicative_items, random_dense_vector
 from .crossed import LAYOUTS, StandardTriple
 from .errors import DimensionMismatchError
 from .linalg import LinearMap, sv_canon
@@ -101,15 +102,19 @@ def verify_algebra_morphism(lm, src, dst, mode=None, seed=0,
     """map(unit) = unit and map(xy) = map(x)map(y).
 
     Exhaustive over all basis pairs when the source dimension is at most
-    81, else `trials` seeded random exact vector pairs.
+    81, else `trials` seeded random exact vector pairs.  The exhaustive
+    check is `multiplicative_items` over the compiled rows of `src` and
+    `dst` (`AlgebraHandle._row`), one item per pair, so it reads only
+    the nonzero basis products and evaluates no pair of either oracle.
     """
     if lm.src_dim != src.dim or lm.dst_dim != dst.dim:
         raise DimensionMismatchError("map does not match the two algebras")
 
     def exhaustive():
         return multiplicative_items(
-            src.field, "morphism-multiplicative", src.dim, src.basis_product,
-            [lm.col_sv(k) for k in range(src.dim)], dst.product)
+            src.field, "morphism-multiplicative", src.dim,
+            keyed_rows(src._row), [lm.col_sv(k) for k in range(src.dim)],
+            keyed_rows(dst._row), dst.dim)
 
     def trial(rng, t):
         x, y = (random_dense_vector(src.field, rng, src.dim) for _ in range(2))
