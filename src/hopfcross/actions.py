@@ -97,8 +97,9 @@ def module_items(act, actor_alg):
         m = {j: one}
         yield 1, "module-unit", (j,), act.act_sv(unit, m), m
     yield from associativity_blocks(act.field, act.actor_dim, act.space_dim,
-                                    actor_alg.mul_basis, act.act_basis,
-                                    act.side, f"module-assoc-{act.side}")
+                                    algebra_rows(actor_alg).__getitem__,
+                                    act.act_basis, act.side,
+                                    f"module-assoc-{act.side}")
 
 
 def commute_items(first, second, axiom):

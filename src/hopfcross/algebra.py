@@ -187,13 +187,16 @@ def check_algebra_axioms(alg, mode=None):
     """Unit law and associativity, exhaustive or on random exact vectors."""
     return check_unit_and_associativity(
         alg.field, alg.dim, alg.unit_sv(), list(alg.unit),
-        alg.mul_sv, alg.mul_basis, alg.mul_dense, mode)
+        alg.mul_sv, lambda: algebra_rows(alg).__getitem__, alg.mul_dense,
+        mode)
 
 
 def check_unit_and_associativity(field, n, unit, unit_dense, product,
-                                 basis_product, product_dense, mode):
-    """Unit law and associativity of a product given by its sparse,
-    basis-pair and dense kernels; shared by algebras and handles."""
+                                 rows, product_dense, mode):
+    """Unit law and associativity of a product given by its sparse and
+    dense kernels and by `rows()`, which makes the row function
+    {j: [(k, c), ...]} of the exhaustive check only when it runs; shared
+    by algebras and handles."""
     one = field.one
 
     def exhaustive():
@@ -201,9 +204,10 @@ def check_unit_and_associativity(field, n, unit, unit_dense, product,
             e = {i: one}
             yield 0, "unit-law-left", (i,), product(unit, e), e
             yield 1, "unit-law-right", (i,), product(e, unit), e
-        yield from associativity_blocks(field, n, n, basis_product,
-                                        basis_product, "left",
-                                        "associativity")
+        row = rows()
+        yield from associativity_blocks(
+            field, n, n, row, lambda j, t: dict(row(j).get(t, ())), "left",
+            "associativity")
 
     def trial(rng, t):
         x, y, z = (random_dense_vector(field, rng, n) for _ in range(3))
@@ -217,14 +221,16 @@ def check_unit_and_associativity(field, n, unit, unit_dense, product,
     return certify(mode, n, exhaustive, trial)
 
 
-def associativity_blocks(field, n, m_dim, basis_product, act_basis, side,
+def associativity_blocks(field, n, m_dim, product_row, act_basis, side,
                          axiom):
     """Items of (e_i e_j).m_t = e_i.(e_j.m_t) for a left action, or of
     m_t.(e_i e_j) = (m_t.e_i).e_j for a right one, for all i, j < n and
     t < m_dim, one block per first actor index i.
 
-    `basis_product(i, j)` and `act_basis(j, t)` are canonical sparse
-    products of basis elements, the action in the order of `side`;
+    `product_row(i)` is {j: [(m, c), ...]} over the nonzero
+    e_i e_j = sum c e_m (`algebra_rows`, `keyed_rows`), and
+    `act_basis(j, t)` is the canonical sparse action of e_j on m_t, in
+    the order of `side`;
     algebra associativity is the case of the left regular action.
     Block i builds both sides for every (j, t) at once, as canonical
     sparse dicts keyed by the flattened (j, t, s): one side runs over
@@ -234,14 +240,14 @@ def associativity_blocks(field, n, m_dim, basis_product, act_basis, side,
     The keys (j, t, s) partition the block, identity (i, j, t) owning
     the keys with that (j, t), so the two dicts are equal if and only if
     every one of the n*m_dim identities holds: the check stays exact and
-    exhaustive.
+    exhaustive, and a zero product e_i e_j costs nothing.
 
     An equal block is one item of count n*m_dim and witness (i,).  In a
     block that differs, the smallest differing key names the first
     failing identity (i, j, t): one item of count j*m_dim + t + 1 whose
     sides are the two dicts restricted to that (j, t), keyed by s.  So
     the report is that of the per-triple stream.  The action is read
-    once, up front; the products e_i e_j are read by block i.
+    once, up front; row i is read by block i.
     """
     stride = m_dim * m_dim
     acts = []          # acts[m] = {t: e_m acting on m_t}, nonzero only
@@ -265,9 +271,9 @@ def associativity_blocks(field, n, m_dim, basis_product, act_basis, side,
                 by_u[u].append((j * stride, out))
     for i in range(n):
         left, right = {}, {}
-        for j in range(n):
+        for j, prod in product_row(i).items():
             base = j * stride
-            for m, c in basis_product(i, j).items():
+            for m, c in prod:
                 for t, out in acts[m].items():
                     at = base + t * m_dim
                     for s, c2 in out.items():

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from .actions import (ActionData, CoactionData, bicomodule_legs,
                       bicomodule_to_module, coaction_items, coherence_items,
                       commute_items, module_items)
-from .algebra import associativity_blocks, dual_hopf, random_dense_vector
+from .algebra import (associativity_blocks, dual_hopf, keyed_rows,
+                      random_dense_vector)
 from .crossed import (LAYOUTS, StandardTriple, diagonal_crossed,
                       two_sided_crossed)
 from .errors import DimensionMismatchError
@@ -257,7 +258,7 @@ def check_module_over_handle(handle, act, mode=None):
 
     def exhaustive():
         return associativity_blocks(field, handle.dim, act.space_dim,
-                                    handle.basis_product, act.act_basis,
+                                    keyed_rows(handle._row), act.act_basis,
                                     "left", "module-assoc")
 
     def trial(rng, t):

@@ -26,19 +26,15 @@ dual D and K = H (x) H^op:
   straightens ((1(x)1)(x)(p(x)q)) ((g(x)h)(x)(1(x)1)) to
   sum (g2 (x) h2) (x) (S^-1(h1)->p<-S(g1) (x) S(h3)->q<-S^-1(g3)).
 
-Products are read off the generator products e_i (a' (x) 1) and the
-nonzero products of B, by two routes.  The sparse products and the
-exhaustive associativity and module certificates read basis pairs
-(e_i (a' (x) 1)) (1 (x) b'), cached the first time they are asked for
-as flat (k1, c1, k2, c2, ...) tuples in one row per left index i.
-A pair row is allocated when its first pair is asked for, so a handle
-costs O(dim) until it is used, and every zero product is the one shared
-ZERO_PAIR.  `product_dense`, the exhaustive morphism certificate and
-`materialize` read compiled rows: row i is one flat [j, k, c, ...] list
-of the nonzero structure constants of e_i e_j = sum c e_k, built
-straight from the generators of i on first use, so they loop over
-nonzero terms only and evaluate no pair.  R is evaluated once per basis
-pair (b, a'); iterated coproducts are cached on the coalgebras.
+Each handle keeps one product store, its compiled rows: row i is one
+flat [j, k, c, ...] list of the nonzero structure constants of
+e_i e_j = sum c e_k, built on first use straight from the generator
+products e_i (a' (x) 1) and the nonzero products of B, so a handle costs
+O(dim) until it is used.  Every reader uses them: `basis_product` by
+binary search, the sparse and dense products, the exhaustive
+associativity, module and morphism certificates, and `materialize`, all
+over nonzero terms only.  R is evaluated once per basis pair (b, a');
+iterated coproducts are cached on the coalgebras.
 
 The maps between X, Y and Z and the module actions on Hopf bimodules
 move the dual slots p and q by the same regular arrows.  A slot rule
@@ -48,9 +44,11 @@ is kept in the K slot; `StandardTriple.expand` evaluates one rule.
 """
 
 import math
+from bisect import bisect_left
 
 from .algebra import (AlgebraData, check_unit_and_associativity, dual_hopf,
-                      op_algebra, tensor_algebra, tensor_hopf, variant)
+                      keyed_rows, op_algebra, tensor_algebra, tensor_hopf,
+                      variant)
 from .actions import (ActionData, build_bimodule_algebra,
                       check_bimodule_algebra, check_module_algebra)
 from .errors import CapExceededError, UnverifiedActionError
@@ -61,21 +59,18 @@ LAYOUTS = {"X": "ghpq", "Y": "phgq", "Z": "pqhg",
            "left_smash": "phg", "right_smash": "hgq"}
 
 
-# The entry of every zero basis-pair product, shared by all handles.
-ZERO_PAIR = ()
-
-
 class AlgebraHandle:
     """An algebra given by a multiplication oracle on coefficient vectors.
 
-    `pair_fn(i, j)` returns the sparse product of basis elements i and j.
-    Results are cached in `_pairs`, one row per left index i, allocated
-    when a pair (i, .) is first asked for; a zero product is stored as
-    the shared ZERO_PAIR.  `basis_product` and `product` read them.
-    `_row(i)` compiles row i on first use, for `product_dense`, the
-    exhaustive morphism certificate and `materialize`: from `row_fn(i)`
-    when the builder gives one, else from the pair oracle over every j.
-    `materialized` is filled by `materialize`.
+    The one product store is the compiled rows: `_row(i)` is row i as
+    one flat [j, k, c, ...] list over the nonzero structure constants
+    e_i e_j = sum c e_k, sorted by (j, k) and compiled on first use,
+    from `row_fn(i)` when the builder gives one, else from
+    `pair_fn(i, j)` over every j.  A handle that is built but not used
+    holds O(dim) slots.  `basis_product` finds its j in row i by binary
+    search, `product` walks the rows of the support of x, and
+    `product_dense`, the exhaustive certificates and `materialize` read
+    rows too.  `materialized` is filled by `materialize`.
     """
 
     def __init__(self, field, factor_dims, basis_labels, unit_sv, pair_fn,
@@ -89,25 +84,7 @@ class AlgebraHandle:
         self.materialized = None
         self._pair_fn = pair_fn
         self._row_fn = row_fn
-        self._pairs = [None] * dim
         self._rows = [None] * dim
-
-    def _pair(self, i, j):
-        row = self._pairs[i]
-        if row is None:
-            row = self._pairs[i] = [None] * self.dim
-        flat = row[j]
-        if flat is None:
-            sv = self._pair_fn(i, j)
-            if sv:
-                flat = []
-                for k in sorted(sv):
-                    flat += (k, sv[k])
-                flat = tuple(flat)
-            else:
-                flat = ZERO_PAIR
-            row[j] = flat
-        return flat
 
     def _row(self, i):
         """Row i as [j, k, c, ...] over every nonzero e_i e_j = sum c e_k,
@@ -119,26 +96,31 @@ class AlgebraHandle:
             else:
                 row = []
                 for j in range(self.dim):
-                    flat = self._pair(i, j)
-                    for t in range(0, len(flat), 2):
-                        row += (j, flat[t], flat[t + 1])
+                    sv = self._pair_fn(i, j)
+                    for k in sorted(sv):
+                        row += (j, k, sv[k])
             self._rows[i] = row
         return row
 
     def basis_product(self, i, j):
-        flat = self._pair(i, j)
-        return {flat[t]: flat[t + 1] for t in range(0, len(flat), 2)}
+        row = self._row(i)
+        t = 3 * bisect_left(range(0, len(row), 3), j, key=row.__getitem__)
+        out = {}
+        while t < len(row) and row[t] == j:
+            out[row[t + 1]] = row[t + 2]
+            t += 3
+        return out
 
     def product(self, x, y):
-        """Sparse-vector product via the oracle; exact and canonical."""
+        """Sparse-vector product over the rows of x's support; exact and
+        canonical."""
         acc = {}
         for i, a in x.items():
-            for j, b in y.items():
-                flat = self._pair(i, j)
-                ab = a * b
-                for t in range(0, len(flat), 2):
-                    k = flat[t]
-                    acc[k] = acc.get(k, 0) + ab * flat[t + 1]
+            terms = iter(self._row(i))
+            for j, k, c in zip(terms, terms, terms):
+                b = y.get(j)
+                if b is not None:
+                    acc[k] = acc.get(k, 0) + a * b * c
         return sv_canon(self.field, acc)
 
     def product_dense(self, xs, ys):
@@ -162,7 +144,7 @@ class AlgebraHandle:
 
 def materialize(handle, cap=64):
     """Structure constants read off the compiled rows, keyed (i, j) in
-    order and each sorted by k, as the basis pairs would give them.
+    order and each sorted by k.
 
     Refuses when dim exceeds the cap, signalling the caller to stay in
     oracle mode.  The result is cached on the handle.
@@ -191,10 +173,11 @@ def handle_from_algebra(alg, provenance="plain", factor_dims=None):
 
 
 def check_handle_axioms(handle, mode=None):
-    """Unit law and associativity through the oracle."""
+    """Unit law and associativity through the compiled rows."""
     return check_unit_and_associativity(
         handle.field, handle.dim, handle.unit, handle.unit_dense(),
-        handle.product, handle.basis_product, handle.product_dense, mode)
+        handle.product, lambda: keyed_rows(handle._row),
+        handle.product_dense, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +188,13 @@ def twisted_tensor(field, a_mul, b_mul, db, twist, factor_dims, labels, unit,
     """A (x)_R B, with `twist(b, a')` = R(b (x) a') on the flattened basis.
 
     `a_mul` and `b_mul` are the basis products of A and B, and `db` is
-    dim B.  Everything is read off the generator products
+    dim B.  The handle's rows are its only product store, and the row
+    builder here is the only evaluation of the formula: row i of
+    a (x) b multiplies each generator product
     e_i (a' (x) 1) = sum c (a a3) (x) b3, over R(b (x) a') =
-    sum c a3 (x) b3, and the nonzero products b3 b' of B, tabled once
-    on first use:
-
-    * pair (i, j) = (a (x) b)(a' (x) b') is (e_i (a' (x) 1)) (1 (x) b');
-      the generators are kept for the current left index i only, one
-      per a', so a pair whose b' no generator term b3 reaches is zero
-      at once, and the others loop over nonzero terms only;
-    * row i, for `product_dense`, the morphism certificate and
-      `materialize`, multiplies every generator of i by every nonzero
-      b3 b' into one dict keyed by (j, k), with no pair evaluated or
-      stored.
+    sum c a3 (x) b3, by every nonzero product b3 b' of B (tabled once,
+    on the first row), summed into one dict keyed by (j, k), so it loops
+    over nonzero terms only.
 
     The products a a3 of A are kept for the last a asked for, which
     the db rows i = a db + b share.  R is evaluated once per basis pair
@@ -225,20 +202,11 @@ def twisted_tensor(field, a_mul, b_mul, db, twist, factor_dims, labels, unit,
     """
     twists = {}
     b_rows = None       # b3 -> {b': [(b5, c), ...]} over the nonzero b3 b'
-    # (i, {a': (generator, reach)}) of the pair row being filled, and
-    # (a, {a3: a a3}) of the last left A index; each is rebound whole,
-    # so a call never reads the generators or products of another index
-    current = (None, {})
+    # (a, {a3: a a3}) of the last left A index, rebound whole, so a call
+    # never reads the products of another index
     a_cache = (None, {})
     dim = math.prod(factor_dims)
     da = dim // db
-
-    def products_of_b():
-        nonlocal b_rows
-        if b_rows is None:
-            b_rows = [{b2: list(prod.items()) for b2 in range(db)
-                       if (prod := b_mul(b3, b2))} for b3 in range(db)]
-        return b_rows
 
     def products_of(a):
         """The products a a3 of A kept for a, as {a3: [(a4, c), ...]}."""
@@ -268,41 +236,19 @@ def twisted_tensor(field, a_mul, b_mul, db, twist, factor_dims, labels, unit,
         return [(k % db, k - k % db, c)
                 for k, c in sv_canon(field, acc).items()]
 
-    def pair(i, j):
-        nonlocal current
-        rows = products_of_b()
-        row_i, gens = current
-        if row_i != i:
-            gens = {}
-            current = (i, gens)
-        a2, b2 = divmod(j, db)
-        gen = gens.get(a2)
-        if gen is None:
-            terms = generator(*divmod(i, db), a2)
-            gen = gens[a2] = (terms, {t for b3, _, _ in terms
-                                      for t in rows[b3]})
-        terms, reach = gen
-        if b2 not in reach:
-            return {}
-        acc = {}
-        for b3, base, c in terms:
-            prod = rows[b3].get(b2)
-            if prod:
-                for b5, cb in prod:
-                    key = base + b5
-                    acc[key] = acc.get(key, 0) + c * cb
-        return sv_canon(field, acc)
-
     def row(i):
         """Row i as [j, k, c, ...]: every generator term b3 times every
         nonzero b3 b', summed into one dict keyed by (j, k)."""
-        rows = products_of_b()
+        nonlocal b_rows
+        if b_rows is None:
+            b_rows = [{b2: list(prod.items()) for b2 in range(db)
+                       if (prod := b_mul(b3, b2))} for b3 in range(db)]
         a, b = divmod(i, db)
         acc = {}
         for a2 in range(da):
             j0 = a2 * db
             for b3, base, c in generator(a, b, a2):
-                for b2, prod in rows[b3].items():
+                for b2, prod in b_rows[b3].items():
                     at = (j0 + b2) * dim + base
                     for b5, cb in prod:
                         key = at + b5
@@ -312,7 +258,7 @@ def twisted_tensor(field, a_mul, b_mul, db, twist, factor_dims, labels, unit,
             out += (*divmod(key, dim), c)
         return out
 
-    handle = AlgebraHandle(field, factor_dims, labels, unit, pair,
+    handle = AlgebraHandle(field, factor_dims, labels, unit, None,
                            provenance, row)
     handle.twists = twists
     return handle

@@ -102,10 +102,11 @@ def verify_algebra_morphism(lm, src, dst, mode=None, seed=0,
     """map(unit) = unit and map(xy) = map(x)map(y).
 
     Exhaustive over all basis pairs when the source dimension is at most
-    81, else `trials` seeded random exact vector pairs.  The exhaustive
-    check is `multiplicative_items` over the compiled rows of `src` and
-    `dst` (`AlgebraHandle._row`), one item per pair, so it reads only
-    the nonzero basis products and evaluates no pair of either oracle.
+    81, else `trials` seeded random exact vector pairs; both modes read
+    the compiled rows of `src` and `dst`, the one product store of a
+    handle.  The exhaustive check is `multiplicative_items` over the
+    rows (`AlgebraHandle._row`), one item per pair, so it reads only
+    the nonzero basis products.
     """
     if lm.src_dim != src.dim or lm.dst_dim != dst.dim:
         raise DimensionMismatchError("map does not match the two algebras")

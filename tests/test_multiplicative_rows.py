@@ -213,7 +213,6 @@ def test_cold_certificate_evaluates_no_pair():
     assert report.passed and report.mode.kind == "exhaustive"
     assert report.checked == src.dim ** 2
     assert seen == [[], []]
-    assert src._pairs == [None] * src.dim and dst._pairs == [None] * dst.dim
 
 
 # ---------------------------------------------------------------------------

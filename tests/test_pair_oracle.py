@@ -1,10 +1,10 @@
-"""The lazy pair oracle of `crossed.twisted_tensor` and its cache.
+"""Basis products of `crossed.twisted_tensor` handles against a reference.
 
 Every pair of X, Y, Z and the two smash halves equals the plain
 closure, which expands R(b (x) a') afresh for each basis pair, in
-row-major, column-major and random reading order; a pair row is
-allocated only when one of its pairs is asked for, and all zero pairs
-share one entry.
+row-major, column-major and random reading order; a basis product
+compiles only the row of its left index, and a zero product has no
+entry in the compiled rows.
 """
 
 import random
@@ -18,8 +18,7 @@ import pytest
 
 from hopfcross import crossed
 from hopfcross.catalog import catalog_named
-from hopfcross.crossed import (ZERO_PAIR, StandardTriple, build_xyz,
-                               smash_handles)
+from hopfcross.crossed import StandardTriple, build_xyz, smash_handles
 from hopfcross.linalg import add_tensor, sv_canon
 
 NAMES = ["cyclic:2", "cyclic:3", "dual_cyclic:3", "sweedler4", "taft:2:5"]
@@ -132,28 +131,38 @@ def test_threads_filling_one_handle_read_the_reference(reference_products,
         sys.setswitchinterval(interval)
 
 
+def compiled(handle):
+    return [i for i, row in enumerate(handle._rows) if row is not None]
+
+
 @pytest.mark.parametrize("which", ["X", "Y", "Z"])
 def test_a_basis_product_allocates_one_pair_row(which):
-    handle, _ = build("sweedler4", which)
+    # a cold basis product compiles the row of its left index and no
+    # other, and so does a sparse product of two basis vectors
+    handle, ref = build("sweedler4", which)
     n = handle.dim
-    assert len(handle._pairs) == n
-    assert all(row is None for row in handle._pairs)
+    assert len(handle._rows) == n and compiled(handle) == []
+    assert handle.basis_product(n // 3, n // 2) == ref(n // 3, n // 2)
+    assert compiled(handle) == [n // 3]
+    handle, _ = build("sweedler4", which)
     handle.product({n - 1: 1}, {n // 2: 1})
-    allocated = [i for i, row in enumerate(handle._pairs) if row is not None]
-    assert allocated == [n - 1]
-    assert sum(entry is not None for entry in handle._pairs[n - 1]) == 1
+    assert compiled(handle) == [n - 1]
 
 
-def test_all_zero_pairs_share_one_entry():
-    zeros = []
+def test_zero_products_take_no_row_entry(reference_products):
+    zeros = 0
     for which in ("X", "Y", "Z"):
+        want = reference_products("taft:2:5", which)
         handle, _ = build("taft:2:5", which)
+        entries = set()
         for i in range(handle.dim):
-            for j in range(handle.dim):
-                handle.basis_product(i, j)
-        zeros += [flat for row in handle._pairs for flat in row if not flat]
+            terms = iter(handle._row(i))
+            for j, k, c in zip(terms, terms, terms):
+                assert c != 0, (i, j, k)
+                entries.add((i, j))
+        assert entries == {pair for pair, sv in want.items() if sv}, which
+        zeros += len(want) - len(entries)
     assert zeros
-    assert all(flat is ZERO_PAIR for flat in zeros)
 
 
 ADDRESS_SPACE = 1 << 30

@@ -1,29 +1,35 @@
-"""Compiled rows of `product_dense`, built from the generator products.
+"""Compiled rows, the one product store of a handle.
 
 `crossed.twisted_tensor` gives every handle a row builder that compiles
 row i straight from the generator products e_i (a' (x) 1) and the
-product table of B.  The pair oracle evaluates the same formula one
-basis pair at a time, and the exhaustive certificates read it, so the
-two routes are compared here row for row: on X, Y and Z, on both smash
-halves and on direct two-sided and diagonal builds.  A cold dense
-product must not touch the pair oracle, must agree with the sparse
-product on vectors with zero coordinates, and must give the same result
-when four threads compile rows of one handle at once.
+product table of B, and every product reads those rows.  The rows are
+compared here with `reference_pair_fn` of `test_pair_oracle`, which
+expands the twisted tensor formula afresh for each basis pair: on X, Y
+and Z, on both smash halves and on direct two-sided and diagonal
+builds.  A cold dense product must not touch a pair oracle, the dense
+and sparse products must agree with the reference on vectors with zero
+coordinates, `basis_product` must find the products at the edges of a
+row and in an empty row, and four threads compiling rows of one handle
+at once must get the same result.
 """
 
+import functools
 import random
 import sys
 import threading
 
 import pytest
 
+from hopfcross import crossed
 from hopfcross.actions import build_bimodule_algebra, regular_actions
 from hopfcross.algebra import dual_hopf
 from hopfcross.catalog import catalog_named
-from hopfcross.crossed import (StandardTriple, build_xyz, diagonal_crossed,
-                               handle_from_algebra, smash_handles,
-                               two_sided_crossed)
-from hopfcross.linalg import sv_from_list, sv_to_list
+from hopfcross.crossed import (AlgebraHandle, StandardTriple, build_xyz,
+                               diagonal_crossed, handle_from_algebra,
+                               smash_handles, two_sided_crossed)
+from hopfcross.fields import QQ
+from hopfcross.linalg import sv_canon, sv_from_list, sv_to_list
+from test_pair_oracle import reference_pair_fn
 
 NAMES = ["cyclic:2", "cyclic:3", "dual_cyclic:3", "sweedler4", "taft:2:5"]
 WHICH = ["X", "Y", "Z", "left_smash", "right_smash", "two_sided",
@@ -49,16 +55,55 @@ def build(name, which):
     return left if which == "left_smash" else right
 
 
-def rows_from_pairs(handle):
-    """Every row as compiled from a fully filled pair table."""
+def build_with_reference(name, which):
+    """A fresh handle and the reference closure of its formula, over the
+    references of the handles it is built on (the A # H factor of a
+    two-sided product), so that no compiled row is read."""
+    calls = {}
+    real = crossed.twisted_tensor
+
+    def recording(*args):
+        handle = real(*args)
+        calls[handle] = args
+        return handle
+
+    crossed.twisted_tensor = recording
+    try:
+        handle = build(name, which)
+    finally:
+        crossed.twisted_tensor = real
+
+    def reference_of(h):
+        field, a_mul, b_mul, db, twist = calls[h][:5]
+        if isinstance(getattr(a_mul, "__self__", None), AlgebraHandle):
+            a_mul = functools.cache(reference_of(a_mul.__self__))
+        return reference_pair_fn(field, a_mul, b_mul, db, twist)
+    return handle, reference_of(handle)
+
+
+def reference_rows(dim, ref):
+    """Every row [j, k, c, ...] as the reference gives it."""
     rows = []
-    for i in range(handle.dim):
+    for i in range(dim):
         row = []
-        for j in range(handle.dim):
-            for k, c in sorted(handle.basis_product(i, j).items()):
-                row += (j, k, c)
+        for j in range(dim):
+            sv = ref(i, j)
+            for k in sorted(sv):
+                row += (j, k, sv[k])
         rows.append(row)
     return rows
+
+
+def reference_product(field, ref, x, y):
+    """sum x_i y_j e_i e_j over the reference, for dense x and y."""
+    acc = {}
+    for i, a in enumerate(x):
+        if a != field.zero:
+            for j, b in enumerate(y):
+                if b != field.zero:
+                    for k, c in ref(i, j).items():
+                        acc[k] = acc.get(k, 0) + a * b * c
+    return sv_canon(field, acc)
 
 
 def vector_with_zeros(field, rng, dim):
@@ -83,12 +128,13 @@ def record_pairs(handle):
 @pytest.mark.parametrize("which", WHICH)
 @pytest.mark.parametrize("name", NAMES)
 def test_builder_rows_equal_rows_of_the_pair_table(name, which):
-    handle = build(name, which)
+    # the pair table is that of the reference, one expansion per pair
+    handle, ref = build_with_reference(name, which)
     assert handle._row_fn is not None
     # every row, in reverse order, so rows sharing an A index are not
     # compiled one after another
     built = {i: handle._row(i) for i in reversed(range(handle.dim))}
-    want = rows_from_pairs(build(name, which))
+    want = reference_rows(handle.dim, ref)
     for i in range(handle.dim):
         assert built[i] == want[i], i
         assert [type(t) for t in built[i]] == [type(t) for t in want[i]], i
@@ -105,14 +151,14 @@ def test_a_cold_dense_product_evaluates_no_pair(name, which):
     y = vector_with_zeros(field, rng, n)
     handle.product_dense(x, y)
     assert seen == []
-    assert all(row is None for row in handle._pairs)
     assert all((handle._rows[i] is not None) == (x[i] != 0) for i in range(n))
 
 
 @pytest.mark.parametrize("which", WHICH)
 @pytest.mark.parametrize("name", ["cyclic:3", "sweedler4", "taft:2:5"])
 def test_dense_and_sparse_products_agree_on_vectors_with_zeros(name, which):
-    handle = build(name, which)
+    handle, ref = build_with_reference(name, which)
+    ref = functools.cache(ref)
     field, n = handle.field, handle.dim
     rng = random.Random(f"{name}/{which}")
     for _ in range(3):
@@ -120,6 +166,7 @@ def test_dense_and_sparse_products_agree_on_vectors_with_zeros(name, which):
         y = vector_with_zeros(field, rng, n)
         assert any(v == field.zero for v in x)
         sparse = handle.product(sv_from_list(field, x), sv_from_list(field, y))
+        assert sparse == reference_product(field, ref, x, y)
         assert handle.product_dense(x, y) == sv_to_list(sparse, n)
 
 
@@ -132,6 +179,22 @@ def test_a_handle_without_builder_compiles_rows_from_its_pairs(sweedler):
         x = vector_with_zeros(alg.field, rng, alg.dim)
         y = vector_with_zeros(alg.field, rng, alg.dim)
         assert handle.product_dense(x, y) == alg.mul_dense(x, y)
+
+
+def test_basis_product_finds_the_edges_of_a_row():
+    # row 2 has entries at j = 1 and 2 only, two k terms at j = 2, and
+    # row 1 is empty; basis_product must match the oracle at every j
+    def pair_fn(i, j):
+        if i == 1 or (i == 2 and j in (0, 3)):
+            return {}
+        return {0: 1, 3: QQ.div(2, 3)} if j == 2 else {(i + j) % 4: i + 1}
+
+    handle = AlgebraHandle(QQ, (4,), list("abcd"), {0: 1}, pair_fn, "test")
+    assert handle._row(1) == []
+    assert handle._row(2)[0] == 1 and handle._row(2)[-3] == 2
+    for i in range(4):
+        for j in range(4):
+            assert handle.basis_product(i, j) == pair_fn(i, j), (i, j)
 
 
 def test_threads_compiling_rows_of_one_handle_read_the_reference(cyclic3,
