@@ -28,13 +28,14 @@ dual D and K = H (x) H^op:
 
 Each handle keeps one product store, its compiled rows: row i is one
 flat [j, k, c, ...] list of the nonzero structure constants of
-e_i e_j = sum c e_k, built on first use straight from the generator
-products e_i (a' (x) 1) and the nonzero products of B, so a handle costs
-O(dim) until it is used.  Every reader uses them: `basis_product` by
-binary search, the sparse and dense products, the exhaustive
-associativity, module and morphism certificates, and `materialize`, all
-over nonzero terms only.  R is evaluated once per basis pair (b, a');
-iterated coproducts are cached on the coalgebras.
+e_i e_j = sum c e_k, built on first use in one pass, from the twist row
+R(b (x) a') over every a', the products a a3 of A and the nonzero
+products of B, so a handle costs O(dim) until it is used.  Every reader
+uses them: `basis_product` by binary search, the sparse and dense
+products, the exhaustive associativity, module and morphism
+certificates, and `materialize`, all over nonzero terms only.  R is
+evaluated once per basis pair (b, a'); iterated coproducts are cached
+on the coalgebras.
 
 The maps between X, Y and Z and the module actions on Hopf bimodules
 move the dual slots p and q by the same regular arrows.  A slot rule
@@ -189,79 +190,76 @@ def twisted_tensor(field, a_mul, b_mul, db, twist, factor_dims, labels, unit,
 
     `a_mul` and `b_mul` are the basis products of A and B, and `db` is
     dim B.  The handle's rows are its only product store, and the row
-    builder here is the only evaluation of the formula: row i of
-    a (x) b multiplies each generator product
-    e_i (a' (x) 1) = sum c (a a3) (x) b3, over R(b (x) a') =
-    sum c a3 (x) b3, by every nonzero product b3 b' of B (tabled once,
-    on the first row), summed into one dict keyed by (j, k), so it loops
-    over nonzero terms only.
+    builder here is the only evaluation of the formula.  Row i of
+    a (x) b is compiled in one pass over nonzero terms only:
 
-    The products a a3 of A are kept for the last a asked for, which
-    the db rows i = a db + b share.  R is evaluated once per basis pair
-    (b, a'); the results are kept on the handle as `twists`.
+    * the twist row of b, R(b (x) a') = sum c a3 (x) b3 over every a',
+      as lists of (a', a3, c) grouped by b3, tabled on the first row
+      with this b, so R is evaluated once per basis pair (b, a');
+    * each term times the products a a3 of A, which are kept for the
+      last a asked for (the db rows i = a db + b share them), summed
+      into one dict per b3;
+    * each b3 dict times every nonzero product b3 b' of B (tabled on
+      the first row), summed into one dict keyed by (j, k) and
+      canonicalised once.
+
+    A table is stored only once it is complete, so threads compiling
+    rows of one handle at once read whole tables or build their own.
     """
-    twists = {}
-    b_rows = None       # b3 -> {b': [(b5, c), ...]} over the nonzero b3 b'
+    dim = math.prod(factor_dims)
+    da = dim // db
+    canon, zero = field.canon, field.zero
+    twist_rows = [None] * db    # b -> [(b3, [(a' db dim, a3, c), ...]), ...]
+    b_terms = None      # b3 -> [(b' dim + b5, c), ...] over the nonzero b3 b'
     # (a, {a3: a a3}) of the last left A index, rebound whole, so a call
     # never reads the products of another index
     a_cache = (None, {})
-    dim = math.prod(factor_dims)
-    da = dim // db
-
-    def products_of(a):
-        """The products a a3 of A kept for a, as {a3: [(a4, c), ...]}."""
-        nonlocal a_cache
-        cached, prods = a_cache
-        if cached != a:
-            prods = {}
-            a_cache = (a, prods)
-        return prods
-
-    def generator(a, b, a2):
-        """e_i (a' (x) 1) as [(b3, a4 * db, c), ...], canonical."""
-        terms = twists.get((b, a2))
-        if terms is None:
-            terms = [(*divmod(k, db), c)
-                     for k, c in sv_canon(field, twist(b, a2)).items()]
-            twists[(b, a2)] = terms
-        a_prods = products_of(a)
-        acc = {}
-        for a3, b3, c in terms:
-            prod = a_prods.get(a3)
-            if prod is None:
-                prod = a_prods[a3] = list(a_mul(a, a3).items())
-            for a4, ca in prod:
-                key = a4 * db + b3
-                acc[key] = acc.get(key, 0) + c * ca
-        return [(k % db, k - k % db, c)
-                for k, c in sv_canon(field, acc).items()]
 
     def row(i):
-        """Row i as [j, k, c, ...]: every generator term b3 times every
-        nonzero b3 b', summed into one dict keyed by (j, k)."""
-        nonlocal b_rows
-        if b_rows is None:
-            b_rows = [{b2: list(prod.items()) for b2 in range(db)
-                       if (prod := b_mul(b3, b2))} for b3 in range(db)]
+        """Row i as [j, k, c, ...], sorted by (j, k)."""
+        nonlocal b_terms, a_cache
+        if b_terms is None:
+            b_terms = [[(b2 * dim + b5, c) for b2 in range(db)
+                        for b5, c in b_mul(b3, b2).items()]
+                       for b3 in range(db)]
         a, b = divmod(i, db)
+        groups = twist_rows[b]
+        if groups is None:
+            by_b3 = {}
+            for a2 in range(da):
+                for k, c in sv_canon(field, twist(b, a2)).items():
+                    a3, b3 = divmod(k, db)
+                    by_b3.setdefault(b3, []).append((a2 * db * dim, a3, c))
+            groups = twist_rows[b] = list(by_b3.items())
+        cached, a_prods = a_cache
+        if cached != a:
+            a_prods = {}
+            a_cache = (a, a_prods)
         acc = {}
-        for a2 in range(da):
-            j0 = a2 * db
-            for b3, base, c in generator(a, b, a2):
-                for b2, prod in b_rows[b3].items():
-                    at = (j0 + b2) * dim + base
-                    for b5, cb in prod:
-                        key = at + b5
-                        acc[key] = acc.get(key, 0) + c * cb
+        for b3, terms in groups:
+            group = {}
+            for at, a3, c in terms:
+                prod = a_prods.get(a3)
+                if prod is None:
+                    prod = a_prods[a3] = [(a4 * db, ca)
+                                          for a4, ca in a_mul(a, a3).items()]
+                for a4, ca in prod:
+                    key = at + a4
+                    group[key] = group.get(key, 0) + c * ca
+            expand = b_terms[b3]
+            for at, c in group.items():
+                for off, cb in expand:
+                    key = at + off
+                    acc[key] = acc.get(key, 0) + c * cb
         out = []
-        for key, c in sorted(sv_canon(field, acc).items()):
-            out += (*divmod(key, dim), c)
+        for key in sorted(acc):
+            c = canon(acc[key])
+            if c != zero:
+                out += (*divmod(key, dim), c)
         return out
 
-    handle = AlgebraHandle(field, factor_dims, labels, unit, None,
-                           provenance, row)
-    handle.twists = twists
-    return handle
+    return AlgebraHandle(field, factor_dims, labels, unit, None, provenance,
+                         row)
 
 
 def _require(rep, message):
@@ -359,8 +357,9 @@ def diagonal_crossed(c_alg, hopf, act_left, act_right, verify=True,
     def twist(h, c):
         acc = {}
         for h1, h2, h3, w in delta2(h):
-            moved = act_right.act_sv(s_inv_col(h3), act_left.act_basis(h1, c))
-            add_tensor(acc, moved, {h2: w}, dh, 1)
+            if moved := act_left.act_basis(h1, c):
+                add_tensor(acc, act_right.act_sv(s_inv_col(h3), moved),
+                           {h2: w}, dh, 1)
         return acc
 
     labels = [f"{lc}><{lh}" for lc in c_alg.basis_labels

@@ -12,8 +12,10 @@ first column, the last column and a column in the support of the unit.
 A corrupted target product must be caught at the reference's pair, and
 a cold exhaustive certificate must read compiled rows only, never the
 pair oracle.  `crossed.materialize` reads the same compiled rows; its
-structure constants must equal those of the pair route, and `build
---out` files must keep the digests they had when it read pairs.
+structure constants must equal those of the pair route and those of
+the reference that expands the twisted tensor formula afresh for each
+basis pair, and `build --out` files must keep the digests they had when
+it read pairs.
 """
 
 import contextlib
@@ -37,6 +39,7 @@ from hopfcross.hopf_json import hopf_to_json, save_document
 from hopfcross.isos import ISO_SPECS, build_iso, verify_algebra_morphism
 from hopfcross.linalg import sv_add_into, sv_canon
 from hopfcross.report import CheckMode, certify
+from test_row_compile import build_with_reference
 
 EXHAUSTIVE = CheckMode.exhaustive()
 NAMES = ("cyclic:2", "cyclic:3", "dual_cyclic:3", "sweedler4", "taft:2:5")
@@ -246,6 +249,26 @@ def test_materialize_matches_the_pair_route(name):
                 == [(key, list(e.items())) for key, e in want.items()]), which
         assert ([type(c) for e in mult.values() for c in e.values()]
                 == [type(c) for e in want.values() for c in e.values()])
+
+
+@pytest.mark.parametrize("which", ["X", "Y", "Z"])
+@pytest.mark.parametrize("name", ["cyclic:2", "cyclic:3", "dual_cyclic:3"])
+def test_materialize_matches_the_reference_formula(name, which):
+    # the reference expands the twisted tensor formula afresh per basis
+    # pair, so this checks `materialize` against more than its own rows
+    handle, ref = build_with_reference(name, which)
+    mult = materialize(handle, cap=handle.dim).mult
+    want = {}
+    for i in range(handle.dim):
+        for j in range(handle.dim):
+            sv = ref(i, j)
+            if sv:
+                want[(i, j)] = dict(sorted(sv.items()))
+    # the same dict, in the same key order, values of the same types
+    assert ([(key, list(e.items())) for key, e in mult.items()]
+            == [(key, list(e.items())) for key, e in want.items()])
+    assert ([type(c) for e in mult.values() for c in e.values()]
+            == [type(c) for e in want.values() for c in e.values()])
 
 
 # sha256 of `build --construction W --mode random:1 --materialize-cap 256

@@ -10,7 +10,9 @@ builds.  A cold dense product must not touch a pair oracle, the dense
 and sparse products must agree with the reference on vectors with zero
 coordinates, `basis_product` must find the products at the edges of a
 row and in an empty row, and four threads compiling rows of one handle
-at once must get the same result.
+at once must get the same result, sharded by A index and by B index.
+Each twist R must be evaluated exactly once per basis pair (b, a') when
+every row is compiled.
 """
 
 import functools
@@ -232,5 +234,80 @@ def test_threads_compiling_rows_of_one_handle_read_the_reference(cyclic3,
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
             assert got == [[w] for w in want]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def build_recording_twists(name, which):
+    """A fresh handle, with dim B and the (b, a') of every call of each
+    twist R recorded, keyed by the handle that R belongs to."""
+    calls = {}
+    real = crossed.twisted_tensor
+
+    def recording(field, a_mul, b_mul, db, twist, *rest):
+        seen = []
+
+        def recorded(b, a2):
+            seen.append((b, a2))
+            return twist(b, a2)
+
+        handle = real(field, a_mul, b_mul, db, recorded, *rest)
+        calls[handle] = db, seen
+        return handle
+
+    crossed.twisted_tensor = recording
+    try:
+        handle = build(name, which)
+    finally:
+        crossed.twisted_tensor = real
+    return handle, calls
+
+
+@pytest.mark.parametrize("which", WHICH)
+@pytest.mark.parametrize("name", ["cyclic:3", "taft:2:5"])
+def test_every_twist_pair_is_evaluated_once(name, which):
+    handle, calls = build_recording_twists(name, which)
+    for i in reversed(range(handle.dim)):
+        handle._row(i)
+    # the A # H factor of a two-sided product has every row compiled too
+    for h in filter(None, (handle, getattr(handle, "left", None))):
+        db, seen = calls[h]
+        assert len(seen) == len(set(seen)) == h.dim, which
+        assert set(seen) == {(b, a2) for b in range(db)
+                             for a2 in range(h.dim // db)}
+
+
+@pytest.mark.parametrize("which", ["X", "Z"])
+def test_threads_sharded_by_b_compile_rows_of_the_reference(which, taft25):
+    # thread t compiles the rows whose b = i mod dim B has b = t mod 4,
+    # so the threads share the products a a3 of one A index at a time;
+    # sharded by a, as above, they share the twist rows of one b instead
+    _, ref = build_with_reference("taft:2:5", which)
+    db = taft25.dim ** 2      # B is D (x) D^op for X and K for Z
+    n = db * db
+    want = reference_rows(n, ref)
+    setup = StandardTriple(taft25)
+    shards = [[i for i in range(n) if i % db % 4 == t] for t in range(4)]
+
+    def run(handle, start, rows, out):
+        start.wait()
+        out.extend(handle._row(i) for i in rows)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(200):
+            handle = build_xyz(taft25, which, setup)
+            start = threading.Barrier(len(shards))
+            got = [[] for _ in shards]
+            threads = [threading.Thread(target=run,
+                                        args=(handle, start, rows, out))
+                       for rows, out in zip(shards, got)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert got == [[want[i] for i in rows] for rows in shards]
     finally:
         sys.setswitchinterval(interval)
