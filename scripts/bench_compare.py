@@ -9,7 +9,9 @@ alternating order with the same seed, each run in a fresh `git archive`
 copy (the working tree goes through a scratch index, so untracked files
 count).  Both copies are byte-compiled first, so that neither side's
 `peak_rss_mb` includes compiling the package.  Prints, per end-to-end
-metric, both medians, the base's quartiles and the change's wins.
+metric, both medians, the base's quartiles and the change's wins, and
+last the line count of `src/hopfcross/*.py` on each side, counted in
+those copies.
 
 With `--trace-seed N` it then runs `--trace 1` once per side with seed N
 and prints each per-layer metric that moved: every changed call count,
@@ -17,6 +19,7 @@ and every other metric that changed by more than MOVED (a fraction).
 """
 
 import argparse
+import glob
 import json
 import os
 import statistics
@@ -43,7 +46,8 @@ def working_tree():
 
 
 def run_once(side, tree, args, seed, trace=0):
-    """Metrics of one `perfbench/run.py` run of `tree` (see `metrics_of`)."""
+    """Metrics of one `perfbench/run.py` run of `tree` (see `metrics_of`),
+    and the `src_lines` of the copy it ran in."""
     with tempfile.TemporaryDirectory() as copy:
         archive = subprocess.run(["git", "archive", tree], cwd=ROOT,
                                  check=True, capture_output=True).stdout
@@ -55,7 +59,23 @@ def run_once(side, tree, args, seed, trace=0):
              "--seed", str(seed), "--seconds", str(args.seconds),
              "--trace", str(trace)], cwd=copy, capture_output=True,
             text=True)
-    return metrics_of(side, tree, seed, out)
+        lines = src_lines(copy)
+    return metrics_of(side, tree, seed, out), lines
+
+
+def src_lines(root):
+    """Lines of `src/hopfcross/*.py` under `root`, counted as `wc -l` does."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "hopfcross", "*.py")):
+        with open(path, "rb") as f:
+            total += f.read().count(b"\n")
+    return total
+
+
+def print_lines(lines):
+    """The `src_lines` of each side, as one line."""
+    base, change = lines["base"], lines["change"]
+    print(f"src/hopfcross/*.py lines: {base} -> {change} ({change - base:+d})")
 
 
 def metrics_of(side, tree, seed, out):
@@ -92,10 +112,11 @@ def compare_ends(runs, pairs):
 
 
 def compare_layers(sides, args):
-    """One traced run per side; prints the per-layer metrics that moved."""
+    """One traced run per side; prints the per-layer metrics that moved
+    and returns the `src_lines` of each side."""
     traced = {side: run_once(side, tree, args, args.trace_seed, trace=1)
               for side, tree in sides.items()}
-    base, change = traced["base"], traced["change"]
+    base, change = traced["base"][0], traced["change"][0]
     print(f"per-layer metrics that moved (--trace 1, seed {args.trace_seed}):")
     for name in sorted(base.keys() | change.keys()):
         b, c = base.get(name), change.get(name)
@@ -106,6 +127,7 @@ def compare_layers(sides, args):
         elif abs(c - b) > MOVED * abs(b):
             rel = f" ({(c - b) / b:+.1%})" if b else ""
             print(f"  {name}: {b:.4g} -> {c:.4g}{rel}")
+    return {side: lines for side, (_, lines) in traced.items()}
 
 
 def main():
@@ -121,18 +143,22 @@ def main():
     sides = {"base": git("rev-parse", f"{args.base}^{{tree}}"),
              "change": working_tree()}
     runs = {"base": [], "change": []}
+    lines = {}
     for k in range(args.pairs):
         order = ["base", "change"] if k % 2 == 0 else ["change", "base"]
         for side in order:
-            runs[side].append(run_once(side, sides[side], args,
-                                       args.seed + k))
+            metrics, lines[side] = run_once(side, sides[side], args,
+                                            args.seed + k)
+            runs[side].append(metrics)
         print(f"pair {k + 1}/{args.pairs}: " + ", ".join(
             f"{s} wall_s {runs[s][-1]['wall_s']:.4g}" for s in order),
             flush=True)
     if args.pairs >= 2:
         compare_ends(runs, args.pairs)
     if args.trace_seed is not None:
-        compare_layers(sides, args)
+        lines = compare_layers(sides, args)
+    if lines:
+        print_lines(lines)
 
 
 if __name__ == "__main__":

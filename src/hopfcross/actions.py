@@ -17,8 +17,8 @@ element of H" is coefficient extraction.
 from dataclasses import dataclass
 
 from .algebra import (algebra_rows, associativity_blocks, block_item,
-                      dual_hopf, multiplicative_items, tensor_algebra,
-                      tensor_hopf, tensor_rows, variant)
+                      dual_hopf, grouped_rows, multiplicative_items,
+                      tensor_algebra, tensor_hopf, tensor_rows, variant)
 from .errors import DimensionMismatchError, UnverifiedActionError
 from .linalg import LinearMap, sv_add_into, sv_canon, sv_tensor
 from .report import certify_exhaustive
@@ -54,6 +54,11 @@ class ActionData:
                 if entries:
                     sv_add_into(acc, entries, a * b)
         return sv_canon(self.field, acc)
+
+    def rows(self):
+        """The tensor grouped by actor: row i is {j: {k: c}} over the
+        nonzero actions of e_i on m_j (`algebra.grouped_rows`)."""
+        return grouped_rows(self.tensor, self.actor_dim)
 
 
 @dataclass
@@ -98,7 +103,7 @@ def module_items(act, actor_alg):
         yield 1, "module-unit", (j,), act.act_sv(unit, m), m
     yield from associativity_blocks(act.field, act.actor_dim, act.space_dim,
                                     algebra_rows(actor_alg).__getitem__,
-                                    act.act_basis, act.side,
+                                    act.rows().__getitem__, act.side,
                                     f"module-assoc-{act.side}")
 
 
@@ -148,9 +153,7 @@ def module_algebra_items(side, hopf, alg, act):
     counit = hopf.coalgebra.counit
     axiom = f"module-algebra-{side}"
     mul = alg.mul_basis
-    # acts[x] = {b: x acting on b}, nonzero only
-    acts = [{b: out for b in range(n) if (out := act.act_basis(x, b))}
-            for x in range(hopf.dim)]
+    acts = act.rows()
     for h in range(hopf.dim):
         yield (0, "module-algebra-unit", (h,), act.act_sv({h: one}, unit_a),
                sv_canon(field, {k: counit[h] * c for k, c in unit_a.items()}))
@@ -334,8 +337,8 @@ def check_bimodule_algebra(hopf, alg, act_left, act_right):
 def bicomodule_to_module(left_co, right_co, hopf):
     """Convert an H*-bicomodule into a left (H (x) H^op)-module.
 
-    (h (x) g) . m = sum m(-1)(g) m(1)(h) m(0); the first tensor slot of
-    the actor evaluates the right coaction leg, the second the left one.
+    The coaction and coherence axioms are checked (raising
+    UnverifiedActionError), then `evaluation_action` builds the action.
     """
     n = hopf.dim
     if left_co.coalgebra_dim != n or right_co.coalgebra_dim != n:
@@ -348,18 +351,19 @@ def bicomodule_to_module(left_co, right_co, hopf):
     rep = check_bicomodule_coherence(left_co, right_co)
     if not rep.passed:
         raise UnverifiedActionError("not a bicomodule", rep)
-    field = left_co.field
+    return evaluation_action(left_co, right_co, n)
+
+
+def evaluation_action(left_co, right_co, n):
+    """(h (x) g) . m = sum m(-1)(g) m(1)(h) m(0) as a left action of
+    K = H (x) H^op, dim H = n, with no check of the coactions: the first
+    tensor slot of the actor evaluates the right coaction leg, the second
+    the left one."""
     tensor = {}
     for j in range(left_co.space_dim):
         for cl, k, cr, w in bicomodule_legs(left_co, right_co, j):
-            # actor index (u, v) = (H slot, H^op slot): u = cr, v = cl
-            key = (cr * n + cl, j)
-            tensor.setdefault(key, {})
-            tensor[key][k] = field.canon(tensor[key].get(k, 0) + w)
-    tensor = {key: {k: c for k, c in entries.items() if c != field.zero}
-              for key, entries in tensor.items()}
-    tensor = {key: entries for key, entries in tensor.items() if entries}
-    return ActionData(field, n * n, left_co.space_dim, "left", tensor)
+            tensor.setdefault((cr * n + cl, j), {})[k] = w
+    return ActionData(left_co.field, n * n, left_co.space_dim, "left", tensor)
 
 
 def comodule_algebra_map(hopf):

@@ -195,8 +195,8 @@ def check_unit_and_associativity(field, n, unit, unit_dense, product,
                                  rows, product_dense, mode):
     """Unit law and associativity of a product given by its sparse and
     dense kernels and by `rows()`, which makes the row function
-    {j: [(k, c), ...]} of the exhaustive check only when it runs; shared
-    by algebras and handles."""
+    {j: {k: c}} of the exhaustive check, its product and its left regular
+    action at once, only when it runs; shared by algebras and handles."""
     one = field.one
 
     def exhaustive():
@@ -205,9 +205,8 @@ def check_unit_and_associativity(field, n, unit, unit_dense, product,
             yield 0, "unit-law-left", (i,), product(unit, e), e
             yield 1, "unit-law-right", (i,), product(e, unit), e
         row = rows()
-        yield from associativity_blocks(
-            field, n, n, row, lambda j, t: dict(row(j).get(t, ())), "left",
-            "associativity")
+        yield from associativity_blocks(field, n, n, row, row, "left",
+                                        "associativity")
 
     def trial(rng, t):
         x, y, z = (random_dense_vector(field, rng, n) for _ in range(3))
@@ -221,17 +220,16 @@ def check_unit_and_associativity(field, n, unit, unit_dense, product,
     return certify(mode, n, exhaustive, trial)
 
 
-def associativity_blocks(field, n, m_dim, product_row, act_basis, side,
-                         axiom):
+def associativity_blocks(field, n, m_dim, product_row, act_row, side, axiom):
     """Items of (e_i e_j).m_t = e_i.(e_j.m_t) for a left action, or of
     m_t.(e_i e_j) = (m_t.e_i).e_j for a right one, for all i, j < n and
     t < m_dim, one block per first actor index i.
 
-    `product_row(i)` is {j: [(m, c), ...]} over the nonzero
-    e_i e_j = sum c e_m (`algebra_rows`, `keyed_rows`), and
-    `act_basis(j, t)` is the canonical sparse action of e_j on m_t, in
-    the order of `side`;
-    algebra associativity is the case of the left regular action.
+    `product_row(i)` is {j: {m: c}} over the nonzero e_i e_j = sum c e_m
+    (`algebra_rows`, `keyed_rows`), and `act_row(j)` is {t: {s: c}} over
+    the nonzero canonical actions of e_j on m_t, in the order of `side`
+    (`ActionData.rows`); algebra associativity is the case of the left
+    regular action, whose action rows are the product rows.
     Block i builds both sides for every (j, t) at once, as canonical
     sparse dicts keyed by the flattened (j, t, s): one side runs over
     the nonzero terms e_i e_j = sum c e_m, then over e_m acting on m_t;
@@ -246,18 +244,11 @@ def associativity_blocks(field, n, m_dim, product_row, act_basis, side,
     block that differs, the smallest differing key names the first
     failing identity (i, j, t): one item of count j*m_dim + t + 1 whose
     sides are the two dicts restricted to that (j, t), keyed by s.  So
-    the report is that of the per-triple stream.  The action is read
-    once, up front; row i is read by block i.
+    the report is that of the per-triple stream.  The action rows are
+    read once, up front; product row i is read by block i.
     """
     stride = m_dim * m_dim
-    acts = []          # acts[m] = {t: e_m acting on m_t}, nonzero only
-    for m in range(n):
-        row = {}
-        for t in range(m_dim):
-            out = act_basis(m, t)
-            if out:
-                row[t] = out
-        acts.append(row)
+    acts = [act_row(m) for m in range(n)]
     if side == "left":
         # every nonzero term e_j.m_t = c m_u, as (flattened (j, t, 0), u, c)
         steps = [((j * m_dim + t) * m_dim, u, c)
@@ -273,7 +264,7 @@ def associativity_blocks(field, n, m_dim, product_row, act_basis, side,
         left, right = {}, {}
         for j, prod in product_row(i).items():
             base = j * stride
-            for m, c in prod:
+            for m, c in prod.items():
                 for t, out in acts[m].items():
                     at = base + t * m_dim
                     for s, c2 in out.items():
@@ -323,7 +314,7 @@ def multiplicative_items(field, axiom, n, src_row, images, dst_row, width):
     where F(e_k) = images[k] has coordinates below `width`: the linear
     map F is multiplicative.
 
-    Rows are mappings {j: [(k, c), ...]} over the nonzero structure
+    Rows are mappings {j: {k: c}} over the nonzero structure
     constants e_i e_j = sum c e_k (`algebra_rows`, `keyed_rows`,
     `tensor_rows`): `src_row(i)` of the source, `dst_row(a)` of the
     target.  The stream runs one left index i at a time.  F(e_i e_j)
@@ -343,7 +334,7 @@ def multiplicative_items(field, axiom, n, src_row, images, dst_row, width):
         lhs, rhs = {}, {}
         for j, prod in src_row(i).items():
             at = j * width
-            for k, c in prod:
+            for k, c in prod.items():
                 for s, cs in images[k].items():
                     key = at + s
                     lhs[key] = lhs.get(key, 0) + c * cs
@@ -356,7 +347,7 @@ def multiplicative_items(field, axiom, n, src_row, images, dst_row, width):
                 joined = [(col, prod) for b, col in by_b.items()
                           if (prod := row.get(b))]
             for col, prod in joined:
-                for s, c in prod:
+                for s, c in prod.items():
                     w = ca * c
                     for at, cj in col:
                         key = at + s
@@ -371,19 +362,23 @@ def multiplicative_items(field, axiom, n, src_row, images, dst_row, width):
 
 
 def algebra_rows(alg):
-    """The rows of `alg` for `multiplicative_items`, as a list: row i is
-    {j: [(k, c), ...]} over the nonzero e_i e_j = sum c e_k, read off
-    `mult` in O(nnz)."""
-    rows = [{} for _ in range(alg.dim)]
-    for (i, j), entries in alg.mult.items():
+    """Row i is {j: {k: c}} over the nonzero e_i e_j = sum c e_k."""
+    return grouped_rows(alg.mult, alg.dim)
+
+
+def grouped_rows(table, dim):
+    """A table (i, j) -> {k: c} grouped by i, as a list of dim rows
+    {j: {k: c}} over its nonempty entries, whose dicts are the table's."""
+    rows = [{} for _ in range(dim)]
+    for (i, j), entries in table.items():
         if entries:
-            rows[i][j] = list(entries.items())
+            rows[i][j] = entries
     return rows
 
 
 def keyed_rows(flat_row):
-    """Rows {j: [(k, c), ...]} from rows [j, k, c, ...], such as the
-    compiled rows of a handle, each converted once."""
+    """Rows {j: {k: c}} from rows [j, k, c, ...], such as the compiled
+    rows of a handle, each converted once and kept."""
     rows = {}
 
     def row(i):
@@ -392,15 +387,15 @@ def keyed_rows(flat_row):
             out = rows[i] = {}
             terms = iter(flat_row(i))
             for j, k, c in zip(terms, terms, terms):
-                out.setdefault(j, []).append((k, c))
+                out.setdefault(j, {})[k] = c
         return out
     return row
 
 
 def tensor_rows(a_row, b_row, db):
-    """Rows of A (x) B, whose product is componentwise, from the rows of
-    A and of B and dim B: row a1 * db + a2 is read lazily from rows a1
-    and a2, so that a lookup in it costs one lookup in each factor."""
+    """Rows {b: {s: c}} of A (x) B, whose product is componentwise, from
+    the rows of A and of B and dim B: row a1 * db + a2 is read lazily from
+    rows a1 and a2, so a lookup in it costs one lookup in each factor."""
     def row(a):
         a1, a2 = divmod(a, db)
         return _TensorRow(a_row(a1), b_row(a2), db)
@@ -409,7 +404,7 @@ def tensor_rows(a_row, b_row, db):
 
 class _TensorRow:
     """Row (a1, a2) of A (x) B: keyed by b1 * db + b2, with products
-    [(s1 * db + s2, c1 * c2), ...], from row a1 of A and row a2 of B."""
+    {s1 * db + s2: c1 * c2}, from row a1 of A and row a2 of B."""
 
     __slots__ = ("left", "right", "db")
 
@@ -433,8 +428,8 @@ class _TensorRow:
 
     def _terms(self, first, second):
         db = self.db
-        return [(s1 * db + s2, c1 * c2) for s1, c1 in first
-                for s2, c2 in second]
+        return {s1 * db + s2: c1 * c2 for s1, c1 in first.items()
+                for s2, c2 in second.items()}
 
 
 def check_coalgebra_axioms(coa):
@@ -556,10 +551,8 @@ def dual_hopf(hopf):
 
 
 def op_algebra(alg, labels=None):
-    """Same space with reversed multiplication."""
-    mult = {}
-    for (i, j), entries in alg.mult.items():
-        mult[(j, i)] = dict(entries)
+    """Same space with reversed multiplication, sharing the entry dicts."""
+    mult = {(j, i): entries for (i, j), entries in alg.mult.items()}
     return AlgebraData(alg.field, alg.dim,
                        list(labels or alg.basis_labels), mult, list(alg.unit))
 

@@ -18,11 +18,11 @@ are verified by `verify_action_correspondence`.
 
 from dataclasses import dataclass
 
-from .actions import (ActionData, CoactionData, bicomodule_legs,
-                      bicomodule_to_module, coaction_items, coherence_items,
-                      commute_items, module_items)
+from .actions import (ActionData, CoactionData, bicomodule_to_module,
+                      coaction_items, coherence_items, commute_items,
+                      evaluation_action, module_items)
 from .algebra import (associativity_blocks, dual_hopf, keyed_rows,
-                      random_dense_vector)
+                      op_algebra, random_dense_vector)
 from .crossed import (LAYOUTS, StandardTriple, diagonal_crossed,
                       two_sided_crossed)
 from .errors import DimensionMismatchError
@@ -121,12 +121,9 @@ def example_bimodule(hopf, kind, v_dim=1):
     n = hopf.dim
     field = hopf.field
     if kind == "regular":
-        left_t, right_t = {}, {}
-        for (i, j), entries in dual.algebra.mult.items():
-            left_t[(i, j)] = dict(entries)
-            right_t[(j, i)] = dict(entries)   # m.q = product m q
-        la = ActionData(field, n, n, "left", left_t)
-        ra = ActionData(field, n, n, "right", right_t)
+        # p.m and m.q are the products p m and m q, read off D's table
+        la = ActionData(field, n, n, "left", dual.algebra.mult)
+        ra = ActionData(field, n, n, "right", op_algebra(dual.algebra).mult)
         lc_t = {i: [(j, k, c) for j, k, c in dual.coalgebra.delta(i)]
                 for i in range(n)}
         rc_t = {i: [(k, j, c) for j, k, c in dual.coalgebra.delta(i)]
@@ -190,17 +187,6 @@ DERIVED_SPECS = {
 }
 
 
-def _legs_by_evaluation(module, n):
-    """Per basis element: kappa = (right leg, left leg) -> [(mid, w)]."""
-    table = []
-    for j in range(module.space_dim):
-        by_eval = {}
-        for cl, k, cr, w in bicomodule_legs(module.left_co, module.right_co, j):
-            by_eval.setdefault(cr * n + cl, []).append((k, w))
-        table.append(by_eval)
-    return table
-
-
 def _unmoved(actor_sv, space_sv):
     return space_sv
 
@@ -231,7 +217,7 @@ def derived_action(module, hopf, which, setup=None):
     at = setup.strides(layout)
     act_p = module.left_act.act_sv if "p" in layout else _unmoved
     act_q = module.right_act.act_sv if "q" in layout else _unmoved
-    legs = _legs_by_evaluation(module, n)
+    legs = evaluation_action(module.left_co, module.right_co, n).act_basis
     m_dim = module.space_dim
     tensor = {}
     for p, kappa, q, terms in setup.slot_terms(DERIVED_SPECS[which], layout):
@@ -241,7 +227,7 @@ def derived_action(module, hopf, which, setup=None):
         for j in range(m_dim):
             acc = {}
             for c, pv, leg, qv in terms:
-                for k, w in legs[j].get(leg, ()):
+                for k, w in legs(leg, j).items():
                     sv_add_into(acc, act_p(pv, act_q(qv, {k: one})), c * w)
             sv = sv_canon(field, acc)
             if sv:
@@ -258,8 +244,9 @@ def check_module_over_handle(handle, act, mode=None):
 
     def exhaustive():
         return associativity_blocks(field, handle.dim, act.space_dim,
-                                    keyed_rows(handle._row), act.act_basis,
-                                    "left", "module-assoc")
+                                    keyed_rows(handle._row),
+                                    act.rows().__getitem__, "left",
+                                    "module-assoc")
 
     def trial(rng, t):
         x = sv_from_list(field, random_dense_vector(field, rng, handle.dim))
@@ -335,14 +322,12 @@ def _certify_correspondence(rows, m_dim, mode, **policy):
 
 def triple_from_bimodule(module, hopf, setup=None):
     """Left actions of (D, K, D^op) on the module: the two bimodule actions
-    (the right one re-read as a left action of the opposite algebra) and
-    the coaction-evaluation action of K."""
+    (the right one re-read as a left action of the opposite algebra, on
+    the same tensor) and the coaction-evaluation action of K."""
     if setup is None:
         setup = StandardTriple(hopf)
-    b_tensor = {key: dict(entries)
-                for key, entries in module.right_act.tensor.items()}
     b_act = ActionData(module.field, setup.n, module.space_dim, "left",
-                       b_tensor)
+                       module.right_act.tensor)
     h_act = bicomodule_to_module(module.left_co, module.right_co, hopf)
     return TripleModuleData(module.space_dim, module.left_act, h_act, b_act)
 

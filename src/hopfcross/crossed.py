@@ -34,14 +34,15 @@ products of B, so a handle costs O(dim) until it is used.  Every reader
 uses them: `basis_product` by binary search, the sparse and dense
 products, the exhaustive associativity, module and morphism
 certificates, and `materialize`, all over nonzero terms only.  R is
-evaluated once per basis pair (b, a'); iterated coproducts are cached
-on the coalgebras.
+evaluated once per basis pair (b, a').
 
 The maps between X, Y and Z and the module actions on Hopf bimodules
-move the dual slots p and q by the same regular arrows.  A slot rule
-names how many coproduct legs of kappa = h (x) g in K to take, which
-`StandardTriple.moves` table moves p and q by which leg, and which leg
-is kept in the K slot; `StandardTriple.expand` evaluates one rule.
+move the dual slots p and q by the same regular arrows, stored once as
+the K-action `StandardTriple.act_on_dual`.  A slot rule names how many
+coproduct legs of kappa = h (x) g in K to take (read from K's `delta`
+and cached `delta2`), which `StandardTriple.moves` table moves p and q
+by which leg, and which leg is kept in the K slot;
+`StandardTriple.expand` evaluates one rule.
 """
 
 import math
@@ -379,9 +380,11 @@ class StandardTriple:
     left K-action (h (x) g).f = h -> f <- g making D a K-module algebra,
     the right K-action f.(h (x) g) = S(h) -> f <- S^-1(g) making D^op one,
     and their tensor product C = D (x) D^op, a K-bimodule algebra.
-    Arrow tables (matrices of e_u -> . <- e_v on the dual basis) and the
-    slot-move tables are cached here and shared by the product builders,
-    the isomorphisms and the module-action code; `isos` keeps each map
+    The arrows are stored once, as the tensor of `act_on_dual`, built
+    from the products e_v e_t e_u; `act_on_dual_op` is read off it at
+    S_K(kappa), and `arrow_basis` and `arrow_sv` read it.  The slot-move
+    tables are cached here and shared by the product builders, the
+    isomorphisms and the module-action code; `isos` keeps each map
     `isos.build_iso` has built on this triple, by kind.  Both K-actions
     are certified as module-algebra actions on construction.
     """
@@ -396,28 +399,25 @@ class StandardTriple:
         self.dual_op_alg = op_algebra(
             self.dual.algebra,
             labels=[f"{l}~" for l in self.dual.algebra.basis_labels])
-        self._arrow_mats = {}
         self._moves = {}
-        self._coproducts = {}
         self._rules = {}
         self.isos = {}
 
         n = self.n
-        field = self.field
-        left_tensor, right_tensor = {}, {}
-        for u in range(n):
-            for v in range(n):
-                kappa = u * n + v
-                for j in range(n):
-                    col = self.arrow_basis(u, j, v)
-                    if col:
-                        left_tensor[(kappa, j)] = col
-                    tw = self.arrow_sv(self.s_col(u), {j: field.one},
-                                       self.s_inv_col(v))
-                    if tw:
-                        right_tensor[(kappa, j)] = tw
-        self.act_on_dual = ActionData(field, n * n, n, "left", left_tensor)
-        self.act_on_dual_op = ActionData(field, n * n, n, "right", right_tensor)
+        alg = hopf.algebra
+        one = self.field.one
+        # e_u -> e^j <- e_v = sum_t (coefficient of e_j in e_v e_t e_u) e^t
+        arrows = {}
+        for kappa in range(n * n):
+            u, v = divmod(kappa, n)
+            for t in range(n):
+                for j, c in alg.mul_sv(alg.mul_basis(v, t), {u: one}).items():
+                    arrows.setdefault((kappa, j), {})[t] = c
+        self.act_on_dual = ActionData(self.field, n * n, n, "left", arrows)
+        # S_K = S (x) S^-1, so S(h) -> f <- S^-1(g) is S_K(h (x) g) acting
+        self.act_on_dual_op = ActionData(
+            self.field, n * n, n, "right",
+            self._precomposed(self.act_on_dual, self.K.antipode_col))
         _require(check_module_algebra("left", self.K, self.dual.algebra,
                                       self.act_on_dual),
                  "regular arrows do not give a module algebra")
@@ -429,7 +429,7 @@ class StandardTriple:
             self.dual_op_alg, self.act_on_dual_op,
             self.K, verify=False)
 
-    # -- small cached helpers ------------------------------------------------
+    # -- antipode columns and arrows -------------------------------------------
 
     def s_col(self, u):
         return self.hopf.antipode_col(u)
@@ -437,38 +437,27 @@ class StandardTriple:
     def s_inv_col(self, u):
         return self.hopf.antipode_inv_col(u)
 
-    def _arrow_mat(self, u, v):
-        """Matrix of e_u -> . <- e_v on the dual basis: j -> {t: c}."""
-        key = (u, v)
-        mat = self._arrow_mats.get(key)
-        if mat is None:
-            mat = {}
-            alg = self.hopf.algebra
-            one = self.field.one
-            for t in range(self.n):
-                out = alg.mul_sv(alg.mul_basis(v, t), {u: one})
-                for s, c in out.items():
-                    mat.setdefault(s, {})[t] = c
-            self._arrow_mats[key] = mat
-        return mat
-
     def arrow_basis(self, u, j, v):
         """e_u -> e^j <- e_v as a sparse dual vector."""
-        return self._arrow_mat(u, v).get(j, {})
+        return self.act_on_dual.act_basis(u * self.n + v, j)
 
     def arrow_sv(self, hv, pv, gv):
         """h -> p <- g for sparse h, g over H and p over the dual."""
-        acc = {}
-        for u, cu in hv.items():
-            for v, cv in gv.items():
-                mat = self._arrow_mat(u, v)
-                w = cu * cv
-                for j, cj in pv.items():
-                    col = mat.get(j)
-                    if col:
-                        for t, c in col.items():
-                            acc[t] = acc.get(t, 0) + w * cj * c
-        return sv_canon(self.field, acc)
+        n = self.n
+        kappa = {u * n + v: cu * cv for u, cu in hv.items()
+                 for v, cv in gv.items()}
+        return self.act_on_dual.act_sv(kappa, pv)
+
+    def _precomposed(self, act, antipode_col):
+        """The table (kappa, x) -> antipode_col(kappa) . e_x, nonzero only."""
+        one = self.field.one
+        table = {}
+        for kappa in range(self.n * self.n):
+            moved_by = antipode_col(kappa)
+            for x in range(self.n):
+                if moved := act.act_sv(moved_by, {x: one}):
+                    table[(kappa, x)] = moved
+        return table
 
     # -- slot rules ------------------------------------------------------------
 
@@ -488,57 +477,40 @@ class StandardTriple:
                          for kappa in range(n * n) for x in range(n)}
             elif rule.endswith("~"):
                 act = self.act_on_dual if rule == "L~" else self.act_on_dual_op
-                table = {}
-                for kappa in range(n * n):
-                    s_inv = self.K.antipode_inv_col(kappa)
-                    for x in range(n):
-                        moved = act.act_sv(s_inv, {x: one})
-                        if moved:
-                            table[(kappa, x)] = moved
+                table = self._precomposed(act, self.K.antipode_inv_col)
             else:
                 act = self.act_on_dual if rule == "L" else self.act_on_dual_op
                 table = act.tensor
             self._moves[rule] = table
         return table
 
-    def coproduct(self, kappa, legs):
-        """The legs-fold coproduct of kappa in K: [(leg indices, coeff)]."""
-        key = (kappa, legs)
-        terms = self._coproducts.get(key)
-        if terms is None:
-            coa = self.K.coalgebra
-            if legs == 1:
-                terms = [((kappa,), self.field.one)]
-            elif legs == 2:
-                terms = [((k1, k2), c) for k1, k2, c in coa.delta(kappa)]
-            else:
-                terms = [((k1, k2, k3), c)
-                         for k1, k2, k3, c in coa.delta2(kappa)]
-            self._coproducts[key] = terms
-        return terms
-
     def expand(self, rule, p, kappa, q):
         """One slot rule on basis p, kappa, q: [(coeff, p', K leg, q')].
 
         `rule` is (legs, p move, q move, K leg), a move being None or
-        (moves-table rule, leg).  Terms where a move vanishes are dropped.
+        (moves-table rule, leg).  The coproduct terms are read from K's
+        `delta` and `delta2`: legs first, coefficient last.  Terms where a
+        move vanishes are dropped.
         """
         resolved = self._rules.get(rule)
         if resolved is None:
             legs, p_move, q_move, k_leg = rule
             p_rule, p_leg = p_move or (None, 0)
             q_rule, q_leg = q_move or (None, 0)
-            resolved = (legs, self.moves(p_rule), p_leg, self.moves(q_rule),
-                        q_leg, k_leg)
+            coa, one = self.K.coalgebra, self.field.one
+            coproduct = {1: lambda k: ((k, one),), 2: coa.delta,
+                         3: coa.delta2}[legs]
+            resolved = (coproduct, self.moves(p_rule), p_leg,
+                        self.moves(q_rule), q_leg, k_leg)
             self._rules[rule] = resolved
-        legs, p_table, p_leg, q_table, q_leg, k_leg = resolved
+        coproduct, p_table, p_leg, q_table, q_leg, k_leg = resolved
         out = []
-        for leg, c in self.coproduct(kappa, legs):
-            pv = p_table.get((leg[p_leg], p))
+        for term in coproduct(kappa):
+            pv = p_table.get((term[p_leg], p))
             if pv:
-                qv = q_table.get((leg[q_leg], q))
+                qv = q_table.get((term[q_leg], q))
                 if qv:
-                    out.append((c, pv, leg[k_leg], qv))
+                    out.append((term[-1], pv, term[k_leg], qv))
         return out
 
     def slot_terms(self, rule, slots="pq"):

@@ -49,3 +49,21 @@ def test_an_incorrect_run_stops_the_comparison():
     line = json.dumps({"correct": False, "metrics": {}})
     with pytest.raises(SystemExit, match="base \\(abc\\) seed 1: incorrect"):
         load_script().metrics_of("base", "abc", 1, finished(1, line))
+
+
+def test_src_lines_counts_the_package_modules_only(tmp_path, capsys):
+    """Lines are newlines, as `wc -l` counts them, of src/hopfcross/*.py:
+    not of other files, subpackages or other packages."""
+    package = tmp_path / "src" / "hopfcross"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n\n")
+    (package / "b.py").write_text("z = 3")
+    (package / "notes.txt").write_text("1\n2\n")
+    (package / "sub" / "c.py").write_text("1\n2\n")
+    (tmp_path / "src" / "other.py").write_text("1\n")
+    module = load_script()
+    assert module.src_lines(tmp_path) == 3
+    assert module.src_lines(tmp_path / "missing") == 0
+    module.print_lines({"base": 4105, "change": 4060})
+    out = capsys.readouterr().out
+    assert out == "src/hopfcross/*.py lines: 4105 -> 4060 (-45)\n"
