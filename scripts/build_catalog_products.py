@@ -4,12 +4,14 @@
 For each entry this constructs the three four-slot product algebras,
 certifies associativity exhaustively (every basis triple, dim 256
 included), and over the rationals reports the trace-form radical
-dimension of Z.
+dimension of X, Y and Z.  The three are isomorphic, so the script exits 1
+if their radical dimensions differ.
 
     PYTHONPATH=src python scripts/build_catalog_products.py [--entries ...]
 """
 
 import argparse
+import sys
 import time
 
 from hopfcross.algebra import trace_form_radical
@@ -27,11 +29,13 @@ def main():
     parser.add_argument("--entries", nargs="*", default=list(ENTRIES))
     args = parser.parse_args()
 
+    failed = False
     for name in args.entries:
         hopf = catalog_named(name)
         setup = StandardTriple(hopf)
         print(f"== {name} (dim {hopf.dim}, field {hopf.field}, "
               f"products dim {hopf.dim ** 4})")
+        radical_dims = set()
         for which in ("X", "Y", "Z"):
             handle = build_xyz(hopf, which, setup)
             start = time.time()
@@ -40,13 +44,19 @@ def main():
             print(f"   {which}: associativity {status} "
                   f"(exhaustive, {report.checked} checks, "
                   f"{time.time() - start:.2f}s)")
-            if which == "Z" and hopf.field.characteristic == 0:
+            if hopf.field.characteristic == 0:
                 start = time.time()
                 radical = trace_form_radical(materialize(handle,
                                                          cap=handle.dim))
-                print(f"   Z radical dimension over Q: {len(radical)} "
+                radical_dims.add(len(radical))
+                print(f"   {which} radical dimension over Q: {len(radical)} "
                       f"({time.time() - start:.2f}s)")
+        if len(radical_dims) > 1:
+            failed = True
+            print("   FAIL: X, Y, Z are isomorphic but their radical "
+                  "dimensions differ")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import (DimensionMismatchError, FieldMismatchError,
                      SingularMatrixError)
-from .linalg import (LinearMap, add_tensor, kernel_basis, mat_inv,
+from .linalg import (LinearMap, add_tensor, mat_inv, null_space,
                      sv_add_into, sv_canon, sv_from_list, sv_tensor)
 from .report import RANDOM_COORD_BOUND, certify, certify_exhaustive
 
@@ -690,21 +690,16 @@ def trace_form_radical(alg):
     field = alg.field
 
     # trace(L_i L_j) = sum_t coefficient of e_t in e_i (e_j e_t): a sum
-    # over the nonzero e_j e_t = c e_s of c * (coefficient of e_t in e_i e_s)
-    terms = [[] for _ in range(n)]      # j -> [(s, t, c)]
+    # over the nonzero e_j e_t = c e_s of c * c2, for every nonzero
+    # e_i e_s = c2 e_t, so only matching pairs of terms are visited
+    back = [{} for _ in range(n)]   # t -> s -> [(i, c2)]: e_i e_s has c2 e_t
+    for (i, s), entries in alg.mult.items():
+        for t, c2 in entries.items():
+            back[t].setdefault(s, []).append((i, c2))
+    gram = [{} for _ in range(n)]   # gram[j][i] = trace(L_i L_j), symmetric
     for (j, t), entries in alg.mult.items():
+        row, back_t = gram[j], back[t]
         for s, c in entries.items():
-            terms[j].append((s, t, c))
-    gram = []
-    for i in range(n):
-        back = {(t, s): c for s, t, c in terms[i]}   # e_t in e_i e_s
-        row = []
-        for j in range(n):
-            acc = 0
-            for s, t, c in terms[j]:
-                c2 = back.get((s, t))
-                if c2 is not None:
-                    acc += c * c2
-            row.append(field.canon(acc))
-        gram.append(row)
-    return kernel_basis(field, gram)
+            for i, c2 in back_t.get(s, ()):
+                row[i] = row.get(i, 0) + c * c2
+    return null_space(field, [sv_canon(field, row) for row in gram], n)

@@ -8,8 +8,13 @@ A LinearMap is its sparse columns: column c, the image of source basis
 c, keeps only its nonzero entries, so applying or composing a map costs
 what its nonzero terms cost.  Its dense view `rows`, with rows[r][c] the
 coefficient of target basis r in the image of source basis c, is built
-on demand, whole or one row at a time by `iter_rows`.  `mat_inv` and
-`kernel_basis` take dense row-major lists of lists.
+on demand, whole or one row at a time by `iter_rows`.
+
+Elimination has one routine, `reduced_echelon`, an exact reduced row
+echelon form over sparse rows that touches only nonzero entries.
+`null_space` reads a kernel basis off it, and the dense entry points
+`kernel_basis` and `mat_inv` (which reduces [A | I]) take row-major
+lists of lists.
 """
 
 from .errors import DimensionMismatchError, SingularMatrixError
@@ -189,63 +194,74 @@ class LinearMap:
                 and all(flat == [j, one] for j, flat in enumerate(self._cols)))
 
 
+def reduced_echelon(field, rows):
+    """The reduced row echelon form of sparse rows, as {pivot: row}.
+
+    Row p has entry one at column p and zero at every other pivot, so
+    one pass over the pivot columns of a row clears them all.  Rows enter
+    one at a time: each is reduced by the current pivot rows, normalised
+    by its leading coefficient and substituted back into the earlier
+    pivot rows, so only nonzero entries are ever touched.  The form is
+    unique, so it does not depend on the order of the rows.
+    """
+    pivots = {}
+    for row in rows:
+        acc = dict(row)
+        for p, c in row.items():
+            prow = pivots.get(p)
+            if prow is not None:
+                sv_add_into(acc, prow, -c)
+        acc = sv_canon(field, acc)
+        if not acc:
+            continue
+        lead = min(acc)
+        inv = field.inv(acc[lead])
+        acc = {k: field.canon(c * inv) for k, c in acc.items()}
+        for p, prow in pivots.items():
+            c = prow.get(lead)
+            if c is not None:
+                sv_add_into(prow, acc, -c)
+                pivots[p] = sv_canon(field, prow)
+        pivots[lead] = acc
+    return pivots
+
+
 def mat_inv(field, rows):
-    """Matrix inverse by Gaussian elimination; raises SingularMatrixError."""
+    """Matrix inverse from the reduced echelon form of [A | I]; raises
+    SingularMatrixError."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionMismatchError("matrix is not square")
-    a = [[field.canon(c) for c in row] + [field.one if i == j else field.zero
-                                          for j in range(n)]
-         for i, row in enumerate(rows)]
-    zero = field.zero
+    pivots = reduced_echelon(
+        field, [{**sv_from_list(field, row), n + i: field.one}
+                for i, row in enumerate(rows)])
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != zero), None)
-        if pivot is None:
+        if col not in pivots:
             raise SingularMatrixError(f"singular at column {col}")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv_p = field.inv(a[col][col])
-        a[col] = [field.canon(field.mul(c, inv_p)) for c in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != zero:
-                f = a[r][col]
-                a[r] = [field.canon(x - f * y) for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    zero = field.zero
+    return [[pivots[i].get(n + j, zero) for j in range(n)] for i in range(n)]
+
+
+def null_space(field, rows, n):
+    """Basis of the null space of the sparse rows over n columns, as dense
+    vectors: one per free column f in ascending order, with entry one at
+    f and zero at the other free columns."""
+    pivots = reduced_echelon(field, rows)
+    basis = {}          # free column f -> its vector
+    for f in range(n):
+        if f not in pivots:
+            basis[f] = vec = [field.zero] * n
+            vec[f] = field.one
+    for p, prow in pivots.items():
+        for f, c in prow.items():
+            if f != p:
+                basis[f][p] = field.neg(c)
+    return list(basis.values())
 
 
 def kernel_basis(field, rows):
-    """Basis of the null space of the matrix, by row reduction."""
+    """Basis of the null space of a dense row-major matrix (`null_space`)."""
     if not rows:
         return []
-    m, n = len(rows), len(rows[0])
-    a = [[field.canon(c) for c in row] for row in rows]
-    zero = field.zero
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if a[i][col] != zero), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv_p = field.inv(a[r][col])
-        a[r] = [field.canon(field.mul(c, inv_p)) for c in a[r]]
-        for i in range(m):
-            if i != r and a[i][col] != zero:
-                f = a[i][col]
-                a[i] = [field.canon(x - f * y) for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        vec = [zero] * n
-        vec[free] = field.one
-        for row_idx, pcol in enumerate(pivots):
-            c = a[row_idx][free]
-            if c != zero:
-                vec[pcol] = field.canon(field.neg(c))
-        basis.append(vec)
-    return basis
+    return null_space(field, [sv_from_list(field, row) for row in rows],
+                      len(rows[0]))
