@@ -13,9 +13,10 @@ metric, both medians, the base's quartiles and the change's wins, and
 last the line count of `src/hopfcross/*.py` on each side, counted in
 those copies.
 
-With `--trace-seed N` it then runs `--trace 1` once per side with seed N
-and prints each per-layer metric that moved: every changed call count,
-and every other metric that changed by more than MOVED (a fraction).
+With `--trace-seed N` it then runs `--trace 1` TRACED_RUNS times per
+side with seed N, in alternating order, and prints each per-layer
+metric whose median moved: every changed call count, and every other
+metric that changed by more than MOVED (a fraction).
 """
 
 import argparse
@@ -29,6 +30,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MOVED = 0.05
+TRACED_RUNS = 3      # a median of three traced runs per side
 STDERR_TAIL = 20     # lines of stderr shown for a run without a result
 
 
@@ -111,13 +113,32 @@ def compare_ends(runs, pairs):
               f"change wins {wins}/{pairs}")
 
 
+def order(k):
+    """The sides of run k in the order they run: base first when k is even."""
+    return ["base", "change"] if k % 2 == 0 else ["change", "base"]
+
+
+def medians(runs):
+    """Each metric's median over the runs that report it."""
+    names = set().union(*runs)
+    return {name: statistics.median(r[name] for r in runs if name in r)
+            for name in names}
+
+
 def compare_layers(sides, args):
-    """One traced run per side; prints the per-layer metrics that moved
-    and returns the `src_lines` of each side."""
-    traced = {side: run_once(side, tree, args, args.trace_seed, trace=1)
-              for side, tree in sides.items()}
-    base, change = traced["base"][0], traced["change"][0]
-    print(f"per-layer metrics that moved (--trace 1, seed {args.trace_seed}):")
+    """TRACED_RUNS traced runs per side in alternating order; prints the
+    per-layer metrics whose medians moved and returns the `src_lines` of
+    each side."""
+    traced = {"base": [], "change": []}
+    lines = {}
+    for k in range(TRACED_RUNS):
+        for side in order(k):
+            metrics, lines[side] = run_once(side, sides[side], args,
+                                            args.trace_seed, trace=1)
+            traced[side].append(metrics)
+    base, change = medians(traced["base"]), medians(traced["change"])
+    print(f"per-layer metrics that moved (--trace 1, seed {args.trace_seed}, "
+          f"median of {TRACED_RUNS} runs per side):")
     for name in sorted(base.keys() | change.keys()):
         b, c = base.get(name), change.get(name)
         if b is None or c is None:
@@ -127,7 +148,7 @@ def compare_layers(sides, args):
         elif abs(c - b) > MOVED * abs(b):
             rel = f" ({(c - b) / b:+.1%})" if b else ""
             print(f"  {name}: {b:.4g} -> {c:.4g}{rel}")
-    return {side: lines for side, (_, lines) in traced.items()}
+    return lines
 
 
 def main():
@@ -138,20 +159,19 @@ def main():
     p.add_argument("--seconds", type=int, default=30)
     p.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     p.add_argument("--trace-seed", type=int,
-                   help="seed of one traced run per side")
+                   help="seed of the traced runs of each side")
     args = p.parse_args()
     sides = {"base": git("rev-parse", f"{args.base}^{{tree}}"),
              "change": working_tree()}
     runs = {"base": [], "change": []}
     lines = {}
     for k in range(args.pairs):
-        order = ["base", "change"] if k % 2 == 0 else ["change", "base"]
-        for side in order:
+        for side in order(k):
             metrics, lines[side] = run_once(side, sides[side], args,
                                             args.seed + k)
             runs[side].append(metrics)
         print(f"pair {k + 1}/{args.pairs}: " + ", ".join(
-            f"{s} wall_s {runs[s][-1]['wall_s']:.4g}" for s in order),
+            f"{s} wall_s {runs[s][-1]['wall_s']:.4g}" for s in order(k)),
             flush=True)
     if args.pairs >= 2:
         compare_ends(runs, args.pairs)

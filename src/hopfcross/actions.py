@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .algebra import (algebra_rows, associativity_blocks, block_item,
                       dual_hopf, grouped_rows, multiplicative_items,
                       tensor_algebra, tensor_hopf, tensor_rows, variant)
-from .errors import DimensionMismatchError, UnverifiedActionError
+from .errors import DimensionMismatchError
 from .linalg import LinearMap, sv_add_into, sv_canon, sv_tensor
 from .report import certify_exhaustive
 
@@ -299,12 +299,10 @@ def build_bimodule_algebra(a_alg, act_left, b_alg, act_right, hopf,
     module-algebra checks (skippable for pre-verified callers).
     """
     if verify:
-        rep = check_module_algebra("left", hopf, a_alg, act_left)
-        if not rep.passed:
-            raise UnverifiedActionError("left factor is not a module algebra", rep)
-        rep = check_module_algebra("right", hopf, b_alg, act_right)
-        if not rep.passed:
-            raise UnverifiedActionError("right factor is not a module algebra", rep)
+        check_module_algebra("left", hopf, a_alg, act_left).require(
+            "left factor is not a module algebra")
+        check_module_algebra("right", hopf, b_alg, act_right).require(
+            "right factor is not a module algebra")
     field = a_alg.field
     db = b_alg.dim
     c_alg = tensor_algebra(a_alg, b_alg)
@@ -345,12 +343,8 @@ def bicomodule_to_module(left_co, right_co, hopf):
         raise DimensionMismatchError("coaction legs must be dual-basis indexed")
     dual_coa = dual_hopf(hopf).coalgebra
     for co in (left_co, right_co):
-        rep = check_coaction_axioms(co, dual_coa)
-        if not rep.passed:
-            raise UnverifiedActionError("coaction fails its axioms", rep)
-    rep = check_bicomodule_coherence(left_co, right_co)
-    if not rep.passed:
-        raise UnverifiedActionError("not a bicomodule", rep)
+        check_coaction_axioms(co, dual_coa).require("coaction fails its axioms")
+    check_bicomodule_coherence(left_co, right_co).require("not a bicomodule")
     return evaluation_action(left_co, right_co, n)
 
 

@@ -614,31 +614,15 @@ def tensor_algebra(a, b):
 def tensor_product(field, a_mul, b_mul, da, db):
     """The sparse product (a (x) b)(a' (x) b') = aa' (x) bb' of A (x) B on
     the left-major flattened basis, from the basis products and dims of
-    A and B; no structure constants of A (x) B are built.  The terms of
-    y are grouped by their A index, and the nonzero products of A are
-    tabled by row on first use, so a term of x meets only the A indices
-    of y that it multiplies to nonzero."""
-    a_rows = {}     # a -> {a2: a a2} over the nonzero products
+    A and B; no structure constants of A (x) B are built."""
 
     def product(x, y):
-        by_a = {}
-        for t, cy in y.items():
-            a2, b2 = divmod(t, db)
-            by_a.setdefault(a2, []).append((b2, cy))
         acc = {}
         for s, cx in x.items():
             a1, b1 = divmod(s, db)
-            row = a_rows.get(a1)
-            if row is None:
-                row = a_rows[a1] = {a2: prod for a2 in range(da)
-                                    if (prod := a_mul(a1, a2))}
-            for a2, first in row.items():
-                terms = by_a.get(a2)
-                if terms:
-                    second = {}
-                    for b2, cy in terms:
-                        sv_add_into(second, b_mul(b1, b2), cy)
-                    add_tensor(acc, first, second, db, cx)
+            for t, cy in y.items():
+                a2, b2 = divmod(t, db)
+                add_tensor(acc, a_mul(a1, a2), b_mul(b1, b2), db, cx * cy)
         return sv_canon(field, acc)
 
     return product

@@ -27,7 +27,7 @@ from .crossed import (LAYOUTS, StandardTriple, diagonal_crossed,
                       two_sided_crossed)
 from .errors import DimensionMismatchError
 from .isos import build_iso
-from .linalg import sv_add_into, sv_canon, sv_from_list
+from .linalg import sv_add_into, sv_canon, sv_from_list, sv_tensor
 from .report import MORPHISM_DIM_CAP, certify, certify_exhaustive
 
 
@@ -458,8 +458,8 @@ def _triple_condition_items(triple, dims, hopf_mid, act_left_a, act_right_b):
 
 def _restriction_items(triple, assembled, units, dims):
     """The assembled action restricted along A, H and B is the input."""
-    one = triple.a_act.field.one
-    _, dh, db = dims
+    field = triple.a_act.field
+    one = field.one
     slots = (("restriction-A", triple.a_act), ("restriction-H", triple.h_act),
              ("restriction-B", triple.b_act))
     for j in range(triple.space_dim):
@@ -469,17 +469,8 @@ def _restriction_items(triple, assembled, units, dims):
                 factors = list(units)
                 factors[slot] = {x: one}
                 yield (1, axiom, (x, j),
-                       assembled.act_sv(_embed3(*factors, dh, db), m),
+                       assembled.act_sv(sv_tensor(field, factors, dims), m),
                        act.act_basis(x, j))
-
-
-def _embed3(a_sv, h_sv, b_sv, dh, db):
-    out = {}
-    for a, ca in a_sv.items():
-        for h, ch in h_sv.items():
-            for b, cb in b_sv.items():
-                out[(a * dh + h) * db + b] = ca * ch * cb
-    return out
 
 
 def diagonal_module_condition(c_act, h_act, c_alg, hopf_mid, act_left_c,

@@ -98,13 +98,31 @@ def _emit(line):
     sys.stdout.write(line + "\n")
 
 
+class _Failed(Exception):
+    """A certificate failed: `main` exits 1 (a ValueError exits 2)."""
+
+
 def _report_line(label, report, field, unit="checks"):
-    if report.passed:
-        _emit(f"{label}: pass ({report.checked} {unit})")
-        return True
-    _emit(f"{label}: FAIL")
-    _emit("violation: " + report.first().describe(field.fmt))
-    return False
+    """The pass line of one certificate, or its FAIL and violation lines
+    and `_Failed`: the one place a failed certificate ends a command."""
+    if not report.passed:
+        _emit(f"{label}: FAIL")
+        _emit("violation: " + report.first().describe(field.fmt))
+        raise _Failed
+    _emit(f"{label}: pass ({report.checked} {unit})")
+
+
+def _load_hopf(path, command):
+    """The Hopf algebra of a document; any other kind is an input error."""
+    hopf = load_document(path).hopf
+    if hopf is None:
+        raise FormatError(f"{command} needs a full Hopf algebra document")
+    return hopf
+
+
+def _check_input(hopf, seed):
+    _report_line("input hopf axioms", check_hopf_axioms(
+        hopf, CheckMode.deferred(seed)), hopf.field)
 
 
 def cmd_check(args):
@@ -116,13 +134,10 @@ def cmd_check(args):
     _emit(f"field: {field}")
     _emit(f"dim: {doc.algebra.dim}")
     if doc.hopf is not None:
-        if not _report_line("hopf axioms", check_hopf_axioms(doc.hopf, mode),
-                            field):
-            return 1
+        _report_line("hopf axioms", check_hopf_axioms(doc.hopf, mode), field)
     else:
-        if not _report_line("algebra axioms",
-                            check_algebra_axioms(doc.algebra, mode), field):
-            return 1
+        _report_line("algebra axioms", check_algebra_axioms(doc.algebra, mode),
+                     field)
     if doc.module_dim is not None:
         _emit(f"module dim: {doc.module_dim}")
     dual = dual_hopf(doc.hopf) if doc.hopf is not None else None
@@ -131,23 +146,20 @@ def cmd_check(args):
         if actor is None:
             _emit("action check skipped: dual actions need a hopf document")
             return 2
-        rep = check_module_axioms(act, actor)
-        if not _report_line(f"action[{act.side},{by}]", rep, field):
-            return 1
+        _report_line(f"action[{act.side},{by}]",
+                     check_module_axioms(act, actor), field)
     for co, by in doc.coactions:
         coalg = (doc.hopf.coalgebra if by == "self" else
                  (dual.coalgebra if dual else None))
         if coalg is None:
             _emit("coaction check skipped: needs a hopf document")
             return 2
-        rep = check_coaction_axioms(co, coalg)
-        if not _report_line(f"coaction[{co.side},{by}]", rep, field):
-            return 1
+        _report_line(f"coaction[{co.side},{by}]",
+                     check_coaction_axioms(co, coalg), field)
     module = doc.bimodule()
     if module is not None:
-        rep = check_hopf_bimodule(module, doc.hopf)
-        if not _report_line("hopf bimodule axioms", rep, field):
-            return 1
+        _report_line("hopf bimodule axioms",
+                     check_hopf_bimodule(module, doc.hopf), field)
     return 0
 
 
@@ -158,9 +170,8 @@ def cmd_describe(args):
     _emit(f"field: {hopf.field}")
     _emit(f"dim: {hopf.dim}")
     _emit("basis: " + ", ".join(hopf.basis_labels))
-    if not _report_line("hopf axioms", check_hopf_axioms(
-            hopf, CheckMode.deferred(args.seed)), hopf.field):
-        return 1
+    _report_line("hopf axioms", check_hopf_axioms(
+        hopf, CheckMode.deferred(args.seed)), hopf.field)
     return 0
 
 
@@ -175,15 +186,10 @@ def _build_handle(construction, hopf, setup):
 
 
 def cmd_build(args):
-    doc = load_document(args.input)
-    if doc.hopf is None:
-        raise FormatError("build needs a full Hopf algebra document")
-    hopf = doc.hopf
+    hopf = _load_hopf(args.input, "build")
     field = hopf.field
     hmode = _parse_mode(args.mode, args.seed)
-    if not _report_line("input hopf axioms", check_hopf_axioms(
-            hopf, CheckMode.deferred(args.seed)), field):
-        return 1
+    _check_input(hopf, args.seed)
     setup = StandardTriple(hopf)
     handle = _build_handle(args.construction, hopf, setup)
     _emit(f"construction: {args.construction}")
@@ -193,8 +199,7 @@ def cmd_build(args):
     label = ("unit + associativity (exhaustive)"
              if rep.mode.kind == "exhaustive"
              else f"unit + associativity (random, {rep.mode.trials} trials)")
-    if not _report_line(label, rep, field):
-        return 1
+    _report_line(label, rep, field)
     if args.out:
         if handle.dim <= args.materialize_cap:
             alg = materialize(handle, cap=args.materialize_cap)
@@ -217,15 +222,10 @@ def cmd_build(args):
 
 
 def cmd_iso(args):
-    doc = load_document(args.input)
-    if doc.hopf is None:
-        raise FormatError("iso needs a full Hopf algebra document")
-    hopf = doc.hopf
+    hopf = _load_hopf(args.input, "iso")
     field = hopf.field
     vmode = _parse_mode(args.mode, args.seed)
-    if not _report_line("input hopf axioms", check_hopf_axioms(
-            hopf, CheckMode.deferred(args.seed)), field):
-        return 1
+    _check_input(hopf, args.seed)
     setup = StandardTriple(hopf)
     src_name, dst_name = ISO_SPECS[args.kind][:2]
     src = build_xyz(hopf, src_name, setup)
@@ -237,15 +237,12 @@ def cmd_iso(args):
     _emit(f"product dim: {src.dim}")
     rep = verify_algebra_morphism(forward, src, dst, mode=vmode)
     unit = "pairs" if rep.mode.kind == "exhaustive" else "trials"
-    if not _report_line("morphism", rep, field, unit=unit):
-        return 1
-    if not _report_line("inverse", verify_mutually_inverse(forward, backward),
-                        field, unit="rows"):
-        return 1
+    _report_line("morphism", rep, field, unit=unit)
+    _report_line("inverse", verify_mutually_inverse(forward, backward), field,
+                 unit="rows")
     if args.kind == "beta":
-        if not _report_line("composition", composition_identity(hopf, setup),
-                            field, unit="entries"):
-            return 1
+        _report_line("composition", composition_identity(hopf, setup), field,
+                     unit="entries")
     if args.out:
         head = {
             "kind": args.kind,
@@ -262,10 +259,7 @@ def cmd_iso(args):
 
 
 def cmd_bimodule(args):
-    doc = load_document(args.input)
-    if doc.hopf is None:
-        raise FormatError("bimodule needs a full Hopf algebra document")
-    hopf = doc.hopf
+    hopf = _load_hopf(args.input, "bimodule")
     field = hopf.field
     kind, v_dim = _parse_module(args.module)
     n = hopf.dim
@@ -274,43 +268,34 @@ def cmd_bimodule(args):
         raise FormatError(f"bad --module {args.module!r}: (dim H)^4 * module "
                           f"dim = {n ** 4 * m_dim} is above the limit of "
                           f"{MAX_MODULE_INDEX}")
+    _check_input(hopf, args.seed)
     mode = CheckMode.deferred(args.seed)
-    if not _report_line("input hopf axioms", check_hopf_axioms(hopf, mode),
-                        field):
-        return 1
     module = example_bimodule(hopf, kind, v_dim)
     label = kind if kind == "regular" else f"free:{v_dim}"
     _emit(f"module: {label} (dim {module.space_dim})")
     setup = StandardTriple(hopf)
-    if not _report_line("hopf bimodule axioms",
-                        check_hopf_bimodule(module, hopf), field):
-        return 1
+    _report_line("hopf bimodule axioms", check_hopf_bimodule(module, hopf),
+                 field)
     handles = {w: build_xyz(hopf, w, setup) for w in ("X", "Y", "Z")}
     handles["left_smash"] = handles["Y"].left
     handles["right_smash"] = smash_handles(hopf, setup)[1]
     for which in ("X", "Y", "Z", "left_smash", "right_smash"):
         act = derived_action(module, hopf, which, setup)
         rep = check_module_over_handle(handles[which], act, mode)
-        if not _report_line(f"{which} module axiom", rep, field):
-            return 1
+        _report_line(f"{which} module axiom", rep, field)
     rep = verify_action_correspondence(module, hopf, setup, mode)
-    if not _report_line("action correspondences (phi, alpha, beta)", rep,
-                        field):
-        return 1
+    _report_line("action correspondences (phi, alpha, beta)", rep, field)
     triple = triple_from_bimodule(module, hopf, setup)
     rep = triple_module_roundtrip(
         triple, setup.dual.algebra, setup.K, setup.dual_op_alg,
         setup.act_on_dual, setup.act_on_dual_op, mode, handle=handles["Y"])
-    if not _report_line("triple roundtrip", rep, field):
-        return 1
+    _report_line("triple roundtrip", rep, field)
     rep = diagonal_module_condition(
         c_action_from_bimodule(module), triple.h_act, setup.C, setup.K,
         setup.act_left_C, setup.act_right_C, mode, handle=handles["Z"])
-    if not _report_line("diagonal condition", rep, field):
-        return 1
+    _report_line("diagonal condition", rep, field)
     rep = verify_f_correspondence(triple, module, hopf, setup, mode)
-    if not _report_line("f correspondence", rep, field):
-        return 1
+    _report_line("f correspondence", rep, field)
     return 0
 
 
@@ -399,6 +384,8 @@ def main(argv=None):
         return exc.code
     try:
         return args.func(args)
+    except _Failed:
+        return 1
     except (FormatError, ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

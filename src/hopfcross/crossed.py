@@ -53,7 +53,7 @@ from .algebra import (AlgebraData, check_unit_and_associativity, dual_hopf,
                       variant)
 from .actions import (ActionData, build_bimodule_algebra,
                       check_bimodule_algebra, check_module_algebra)
-from .errors import CapExceededError, UnverifiedActionError
+from .errors import CapExceededError
 from .linalg import add_tensor, sv_canon, sv_tensor
 
 # Slot order of each four- and three-slot algebra: p, q over D, h, g over H.
@@ -263,16 +263,11 @@ def twisted_tensor(field, a_mul, b_mul, db, twist, factor_dims, labels, unit,
                          row)
 
 
-def _require(rep, message):
-    if not rep.passed:
-        raise UnverifiedActionError(message, rep)
-
-
 def left_smash(a_alg, hopf, act, verify=True, provenance="left_smash"):
     """A # H for a left H-module algebra A."""
     if verify:
-        _require(check_module_algebra("left", hopf, a_alg, act),
-                 "left smash needs a module algebra")
+        check_module_algebra("left", hopf, a_alg, act).require(
+            "left smash needs a module algebra")
     field = a_alg.field
     da, dh = a_alg.dim, hopf.dim
     delta = hopf.coalgebra.delta
@@ -293,8 +288,8 @@ def left_smash(a_alg, hopf, act, verify=True, provenance="left_smash"):
 def right_smash(hopf, b_alg, act, verify=True, provenance="right_smash"):
     """H # B for a right H-module algebra B."""
     if verify:
-        _require(check_module_algebra("right", hopf, b_alg, act),
-                 "right smash needs a module algebra")
+        check_module_algebra("right", hopf, b_alg, act).require(
+            "right smash needs a module algebra")
     field = b_alg.field
     dh, db = hopf.dim, b_alg.dim
     delta = hopf.coalgebra.delta
@@ -319,10 +314,10 @@ def two_sided_crossed(a_alg, hopf, b_alg, act_left, act_right, verify=True,
     The A # H factor it is built over is kept on the handle as `left`.
     """
     if verify:
-        _require(check_module_algebra("left", hopf, a_alg, act_left),
-                 "left factor fails its axioms")
-        _require(check_module_algebra("right", hopf, b_alg, act_right),
-                 "right factor fails its axioms")
+        check_module_algebra("left", hopf, a_alg, act_left).require(
+            "left factor fails its axioms")
+        check_module_algebra("right", hopf, b_alg, act_right).require(
+            "right factor fails its axioms")
     field = a_alg.field
     da, dh, db = a_alg.dim, hopf.dim, b_alg.dim
     delta = hopf.coalgebra.delta
@@ -348,8 +343,8 @@ def diagonal_crossed(c_alg, hopf, act_left, act_right, verify=True,
                      provenance="diagonal"):
     """C >< H for an H-bimodule algebra C, with the S^-1-twisted product."""
     if verify:
-        _require(check_bimodule_algebra(hopf, c_alg, act_left, act_right),
-                 "C is not a bimodule algebra")
+        check_bimodule_algebra(hopf, c_alg, act_left, act_right).require(
+            "C is not a bimodule algebra")
     field = c_alg.field
     dc, dh = c_alg.dim, hopf.dim
     delta2 = hopf.coalgebra.delta2
@@ -418,12 +413,12 @@ class StandardTriple:
         self.act_on_dual_op = ActionData(
             self.field, n * n, n, "right",
             self._precomposed(self.act_on_dual, self.K.antipode_col))
-        _require(check_module_algebra("left", self.K, self.dual.algebra,
-                                      self.act_on_dual),
-                 "regular arrows do not give a module algebra")
-        _require(check_module_algebra("right", self.K, self.dual_op_alg,
-                                      self.act_on_dual_op),
-                 "twisted arrows do not give a module algebra")
+        check_module_algebra("left", self.K, self.dual.algebra,
+                             self.act_on_dual).require(
+            "regular arrows do not give a module algebra")
+        check_module_algebra("right", self.K, self.dual_op_alg,
+                             self.act_on_dual_op).require(
+            "twisted arrows do not give a module algebra")
         self.C, self.act_left_C, self.act_right_C = build_bimodule_algebra(
             self.dual.algebra, self.act_on_dual,
             self.dual_op_alg, self.act_on_dual_op,
@@ -467,6 +462,8 @@ class StandardTriple:
         "L" is kappa -> x <- (the left K-action on D), "R" is
         S(h) -> x <- S^-1(g) (the right K-action on D^op), "L~" and "R~"
         apply S_K^-1 to kappa first, and None leaves x where it is.
+        "R~" equals "L" entry for entry, since act_on_dual_op o S_K^-1 =
+        act_on_dual; it is computed on its own all the same.
         """
         table = self._moves.get(rule)
         if table is None:

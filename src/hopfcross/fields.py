@@ -88,7 +88,8 @@ class Rationals:
     def parse(self, s):
         if not isinstance(s, str) or not _RATIONAL_RE.match(s.strip()):
             raise ScalarFormatError(f"bad rational literal {s!r}")
-        return self.canon(Fraction(s.strip()))
+        text = s.strip()
+        return self.canon(Fraction(text)) if "/" in text else int(text)
 
     def fmt(self, v):
         return str(self.canon(v))

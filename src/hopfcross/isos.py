@@ -12,8 +12,11 @@ kappa = h (x) g, move p and q by regular arrows, keep one leg in the K
 slot, and place the result in the target's slot order.  `beta` has its
 own row; that it equals `alpha o phi` is a verification target, not an
 assumption.  `f` has its own row too, the generic formula written with
-S_K^-1, so that it agrees with alpha is a test between two
-computations, not one computation read twice.
+S_K^-1, but on the canonical triple it is alpha read twice: its "R~"
+moves table equals alpha's "L" table entry for entry (act_on_dual_op o
+S_K^-1 = act_on_dual), and the `f_inv` row is the `alpha_inv` row.  f
+against alpha becomes an independent check only once f is built by a
+generic construction for any triple (ROADMAP item 6, `generic_f`).
 
 Every certificate here runs through `report.certify`: the morphism check
 over the compiled rows of both handles or by random trials, the inverse

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 import itertools
 import random
 
+from .errors import UnverifiedActionError
+
 
 EXHAUSTIVE_DIM_CAP = 32      # algebras larger than this default to random mode
 MORPHISM_DIM_CAP = 81        # morphism/pair checks larger than this go random
@@ -101,6 +103,12 @@ class CheckReport:
 
     def first(self):
         return self.violations[0] if self.violations else None
+
+    def require(self, message):
+        """Raise UnverifiedActionError with `message` and this report if
+        the check failed: the one place a builder rejects a certificate."""
+        if not self.passed:
+            raise UnverifiedActionError(message, self)
 
 
 def certify(mode, dim, exhaustive, trial, prelude=(), cap=EXHAUSTIVE_DIM_CAP,

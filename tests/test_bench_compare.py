@@ -67,3 +67,27 @@ def test_src_lines_counts_the_package_modules_only(tmp_path, capsys):
     module.print_lines({"base": 4105, "change": 4060})
     out = capsys.readouterr().out
     assert out == "src/hopfcross/*.py lines: 4105 -> 4060 (-45)\n"
+
+
+def test_traced_runs_alternate_and_report_medians(monkeypatch, capsys):
+    """`--trace-seed` runs TRACED_RUNS traced runs per side, alternating
+    which side runs first, and compares the medians of each metric."""
+    module = load_script()
+    readings = {"base": iter([1.0, 9.0, 2.0]), "change": iter([3.0, 3.5, 30])}
+    calls = []
+
+    def run_once(side, tree, args, seed, trace=0):
+        calls.append((side, tree, seed, trace))
+        return {"layer.s": next(readings[side]), "layer.calls": 4}, len(side)
+
+    monkeypatch.setattr(module, "run_once", run_once)
+    args = type("Args", (), {"trace_seed": 11})()
+    lines = module.compare_layers({"base": "b", "change": "c"}, args)
+    assert module.TRACED_RUNS == 3
+    assert calls == [("base", "b", 11, 1), ("change", "c", 11, 1),
+                     ("change", "c", 11, 1), ("base", "b", 11, 1),
+                     ("base", "b", 11, 1), ("change", "c", 11, 1)]
+    assert lines == {"base": 4, "change": 6}
+    out = capsys.readouterr().out.splitlines()
+    # medians 2.0 -> 3.5; the unchanged call count is not printed
+    assert out[1:] == ["  layer.s: 2 -> 3.5 (+75.0%)"]
