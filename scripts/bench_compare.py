@@ -16,7 +16,10 @@ those copies.
 With `--trace-seed N` it then runs `--trace 1` TRACED_RUNS times per
 side with seed N, in alternating order, and prints each per-layer
 metric whose median moved: every changed call count, and every other
-metric that changed by more than MOVED (a fraction).
+metric that changed by more than MOVED (a fraction).  Under each such
+line it writes each side's [min, max] over its traced runs to stderr,
+so a move can be told from run-to-run noise while stdout keeps one line
+per metric.
 """
 
 import argparse
@@ -125,10 +128,21 @@ def medians(runs):
             for name in names}
 
 
+def spreads(traced, name):
+    """Each side's [min, max] of one metric over the traced runs that
+    report it."""
+    parts = []
+    for side, runs in traced.items():
+        values = [r[name] for r in runs if name in r]
+        if values:
+            parts.append(f"{side} [{min(values):.4g}, {max(values):.4g}]")
+    return ", ".join(parts)
+
+
 def compare_layers(sides, args):
     """TRACED_RUNS traced runs per side in alternating order; prints the
-    per-layer metrics whose medians moved and returns the `src_lines` of
-    each side."""
+    per-layer metrics whose medians moved, each followed on stderr by
+    its `spreads`, and returns the `src_lines` of each side."""
     traced = {"base": [], "change": []}
     lines = {}
     for k in range(TRACED_RUNS):
@@ -141,13 +155,15 @@ def compare_layers(sides, args):
           f"median of {TRACED_RUNS} runs per side):")
     for name in sorted(base.keys() | change.keys()):
         b, c = base.get(name), change.get(name)
-        if b is None or c is None:
-            print(f"  {name}: {b} -> {c}")
-        elif name.endswith(".calls") and b != c:
-            print(f"  {name}: {b} -> {c}")
+        if b is None or c is None or (name.endswith(".calls") and b != c):
+            print(f"  {name}: {b} -> {c}", flush=True)
         elif abs(c - b) > MOVED * abs(b):
             rel = f" ({(c - b) / b:+.1%})" if b else ""
-            print(f"  {name}: {b:.4g} -> {c:.4g}{rel}")
+            print(f"  {name}: {b:.4g} -> {c:.4g}{rel}", flush=True)
+        else:
+            continue
+        print(f"    spread: {spreads(traced, name)}", file=sys.stderr,
+              flush=True)
     return lines
 
 

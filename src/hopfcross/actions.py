@@ -352,7 +352,9 @@ def evaluation_action(left_co, right_co, n):
     """(h (x) g) . m = sum m(-1)(g) m(1)(h) m(0) as a left action of
     K = H (x) H^op, dim H = n, with no check of the coactions: the first
     tensor slot of the actor evaluates the right coaction leg, the second
-    the left one."""
+    the left one.  `bicomodule_to_module` certifies it, and
+    `bimodules.derived_action` takes it as the K factor of every derived
+    action."""
     tensor = {}
     for j in range(left_co.space_dim):
         for cl, k, cr, w in bicomodule_legs(left_co, right_co, j):

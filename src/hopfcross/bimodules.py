@@ -11,9 +11,10 @@ written out in docs/file-format.md and checked verbatim here:
   rho(m.q)    = sum m(0).q1  (x) m(1) q2
 
 Such a module is simultaneously a left module over each of the four-slot
-product algebras; the explicit action tensors are materialized by
-`derived_action` and the equalities between them under the isomorphisms
-are verified by `verify_action_correspondence`.
+product algebras; `derived_action` builds each action as a composite of
+the module's factor actions, with no slot rule, and the equalities
+between them under the isomorphisms are verified by
+`verify_action_correspondence`.
 """
 
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from .algebra import (associativity_blocks, dual_hopf, keyed_rows,
 from .crossed import (LAYOUTS, StandardTriple, diagonal_crossed,
                       two_sided_crossed)
 from .errors import DimensionMismatchError
-from .isos import build_iso
+from .isos import MORPHISM_TRIALS, build_iso
 from .linalg import sv_add_into, sv_canon, sv_from_list, sv_tensor
 from .report import MORPHISM_DIM_CAP, certify, certify_exhaustive
 
@@ -176,27 +177,15 @@ def example_bimodule(hopf, kind, v_dim=1):
 # ---------------------------------------------------------------------------
 # derived module structures
 
-# which: (coproduct legs of kappa = h (x) g, p move, q move, leg evaluated
-#         on the coaction legs); a move is None or (moves rule, leg).
-DERIVED_SPECS = {
-    "X": (3, ("L", 0), ("L", 2), 1),
-    "Y": (2, None, ("L", 1), 0),
-    "Z": (1, None, None, 0),
-    "left_smash": (1, None, None, 0),
-    "right_smash": (2, None, ("L", 1), 0),
-}
-
-
-def _unmoved(actor_sv, space_sv):
-    return space_sv
-
-
 def derived_action(module, hopf, which, setup=None):
     """The left action of X, Y, Z or one of the smash halves on the module.
 
-    All five come from evaluating coaction legs against grouplike slots
-    and sandwiching with arrow-twisted bimodule actions, one row of
-    `DERIVED_SPECS` each:
+    Each product is a twisted tensor product, so the action is the
+    `composite_action` of three factor actions in the slot order of
+    `LAYOUTS[which]`: the left action for p, the right action read as a
+    left D^op-action for q, and `evaluation_action` for h (x) g (read at
+    g n + h in X); `setup` is not read.  On a Hopf bimodule, which the CLI
+    certifies first, the composite equals the paper's formulas:
 
       X: ((g (x) h) (x) (p (x) q)).m
            = sum m(-1)(g2) m(1)(h2) (h1->p<-g1).m(0).(h3->q<-g3)
@@ -206,33 +195,19 @@ def derived_action(module, hopf, which, setup=None):
       left smash  (p # (h (x) g)).m = sum m(-1)(g) m(1)(h) p.m(0)
       right smash ((h (x) g) # q).m = sum m(-1)(g1) m(1)(h1) m(0).(h2->q<-g2)
     """
-    if which not in DERIVED_SPECS:
+    if which not in LAYOUTS:
         raise ValueError(f"unknown derived action {which!r}")
-    if setup is None:
-        setup = StandardTriple(hopf)
-    n = setup.n
-    field = setup.field
-    one = field.one
-    layout = LAYOUTS[which]
-    at = setup.strides(layout)
-    act_p = module.left_act.act_sv if "p" in layout else _unmoved
-    act_q = module.right_act.act_sv if "q" in layout else _unmoved
-    legs = evaluation_action(module.left_co, module.right_co, n).act_basis
-    m_dim = module.space_dim
-    tensor = {}
-    for p, kappa, q, terms in setup.slot_terms(DERIVED_SPECS[which], layout):
-        h, g = divmod(kappa, n)
-        actor = (h * at["h"] + g * at["g"] + p * at.get("p", 0)
-                 + q * at.get("q", 0))
-        for j in range(m_dim):
-            acc = {}
-            for c, pv, leg, qv in terms:
-                for k, w in legs(leg, j).items():
-                    sv_add_into(acc, act_p(pv, act_q(qv, {k: one})), c * w)
-            sv = sv_canon(field, acc)
-            if sv:
-                tensor[(actor, j)] = sv
-    return ActionData(field, n ** len(layout), m_dim, "left", tensor)
+    n = hopf.dim
+    kappa = evaluation_action(module.left_co, module.right_co, n)
+    if which == "X":
+        kappa = ActionData(module.field, n * n, module.space_dim, "left", {
+            ((hg % n) * n + hg // n, j): sv
+            for (hg, j), sv in kappa.tensor.items()})
+    factors = {"p": module.left_act, "h": kappa,
+               "q": ActionData(module.field, n, module.space_dim, "left",
+                               module.right_act.tensor)}
+    return composite_action([factors[s] for s in LAYOUTS[which]
+                             if s in factors], module.space_dim)
 
 
 def check_module_over_handle(handle, act, mode=None):
@@ -263,7 +238,7 @@ def check_module_over_handle(handle, act, mode=None):
 
 
 def verify_action_correspondence(module, hopf, setup=None, mode=None,
-                                 trials=200, seed=0):
+                                 trials=MORPHISM_TRIALS, seed=0):
     """act_X(x, m) = act_Y(phi x, m) = act_Z(beta x, m), act_Y(y, m) = act_Z(alpha y, m)."""
     if setup is None:
         setup = StandardTriple(hopf)
@@ -323,10 +298,9 @@ def _certify_correspondence(rows, m_dim, mode, **policy):
 def triple_from_bimodule(module, hopf, setup=None):
     """Left actions of (D, K, D^op) on the module: the two bimodule actions
     (the right one re-read as a left action of the opposite algebra, on
-    the same tensor) and the coaction-evaluation action of K."""
-    if setup is None:
-        setup = StandardTriple(hopf)
-    b_act = ActionData(module.field, setup.n, module.space_dim, "left",
+    the same tensor) and the coaction-evaluation action of K; `setup` is
+    not read."""
+    b_act = ActionData(module.field, hopf.dim, module.space_dim, "left",
                        module.right_act.tensor)
     h_act = bicomodule_to_module(module.left_co, module.right_co, hopf)
     return TripleModuleData(module.space_dim, module.left_act, h_act, b_act)

@@ -36,13 +36,13 @@ products, the exhaustive associativity, module and morphism
 certificates, and `materialize`, all over nonzero terms only.  R is
 evaluated once per basis pair (b, a').
 
-The maps between X, Y and Z and the module actions on Hopf bimodules
-move the dual slots p and q by the same regular arrows, stored once as
-the K-action `StandardTriple.act_on_dual`.  A slot rule names how many
-coproduct legs of kappa = h (x) g in K to take (read from K's `delta`
-and cached `delta2`), which `StandardTriple.moves` table moves p and q
-by which leg, and which leg is kept in the K slot;
-`StandardTriple.expand` evaluates one rule.
+Only the maps between X, Y and Z and X's twist use slot rules: they
+move the dual slots p and q by regular arrows, stored once as the
+K-action `StandardTriple.act_on_dual`.  A rule names how many coproduct
+legs of kappa = h (x) g in K to take (read from K's `delta` and
+`delta2`), which `StandardTriple.moves` table moves p and q by which
+leg, and which leg is kept in the K slot; `StandardTriple.place`
+evaluates one rule into a slot order.
 """
 
 import math
@@ -378,8 +378,8 @@ class StandardTriple:
     The arrows are stored once, as the tensor of `act_on_dual`, built
     from the products e_v e_t e_u; `act_on_dual_op` is read off it at
     S_K(kappa), and `arrow_basis` and `arrow_sv` read it.  The slot-move
-    tables are cached here and shared by the product builders, the
-    isomorphisms and the module-action code; `isos` keeps each map
+    tables are cached here and read only by the slot rules of the
+    isomorphisms and of X's twist (`place`); `isos` keeps each map
     `isos.build_iso` has built on this triple, by kind.  Both K-actions
     are certified as module-algebra actions on construction.
     """
@@ -510,17 +510,20 @@ class StandardTriple:
                     out.append((term[-1], pv, term[k_leg], qv))
         return out
 
-    def slot_terms(self, rule, slots="pq"):
-        """`expand` over every basis p, kappa, q, yielding (p, kappa, q,
-        terms); a dual slot missing from `slots` stays at 0, unmoved."""
-        rule = tuple(rule)
+    def place(self, rule, p, kappa, q, to):
+        """`expand` scattered into one flat layout, not canonicalised: the
+        term (c, p', leg, q') adds c p' (x) leg (x) q' at the slot
+        strides `to` (see `strides`), the leg read as h n + g."""
         n = self.n
-        ps = range(n if "p" in slots else 1)
-        qs = range(n if "q" in slots else 1)
-        for kappa in range(n * n):
-            for p in ps:
-                for q in qs:
-                    yield p, kappa, q, self.expand(rule, p, kappa, q)
+        acc = {}
+        for c, pv, leg, qv in self.expand(rule, p, kappa, q):
+            h, g = divmod(leg, n)
+            base = h * to["h"] + g * to["g"]
+            for tp, cp in pv.items():
+                for tq, cq in qv.items():
+                    key = base + tp * to["p"] + tq * to["q"]
+                    acc[key] = acc.get(key, 0) + c * cp * cq
+        return acc
 
     def strides(self, layout):
         """Flat-index stride of each slot letter of a layout."""
@@ -559,17 +562,12 @@ def build_xyz(hopf, which, setup=None):
     hopf_alg = hopf.algebra
     dual_alg = setup.dual.algebra
     gh = tensor_algebra(setup.hop.algebra, hopf_alg)
+    to = setup.strides(LAYOUTS["X"])
 
     def twist(pq, gh_index):
         p, q = divmod(pq, n)
         g, h = divmod(gh_index, n)
-        acc = {}
-        for c, pv, leg, qv in setup.expand(X_TWIST, p, h * n + g, q):
-            h2, g2 = divmod(leg, n)
-            base = (g2 * n + h2) * n
-            add_tensor(acc, {base + t: c * ct for t, ct in pv.items()}, qv,
-                       n, 1)
-        return acc
+        return setup.place(X_TWIST, p, h * n + g, q, to)
 
     hl = hopf.basis_labels
     dl = dual_alg.basis_labels

@@ -75,26 +75,16 @@ def build_iso(kind, hopf, setup=None):
 def _assemble(kind, setup):
     """Evaluate the row of `ISO_SPECS` for `kind`, column by column."""
     src, dst, *rule = ISO_SPECS[kind]
-    n = setup.n
-    n4 = n ** 4
-    field = setup.field
+    rule, n, field = tuple(rule), setup.n, setup.field
     at, to = setup.strides(LAYOUTS[src]), setup.strides(LAYOUTS[dst])
-    cols = [None] * n4
-    for p, kappa, q, terms in setup.slot_terms(rule):
-        acc = {}
-        for c, pv, leg, qv in terms:
-            h, g = divmod(leg, n)
-            base = h * to["h"] + g * to["g"]
-            for tp, cp in pv.items():
-                at_p = base + tp * to["p"]
-                w = c * cp
-                for tq, cq in qv.items():
-                    key = at_p + tq * to["q"]
-                    acc[key] = acc.get(key, 0) + w * cq
+    cols = [None] * n ** 4
+    for kappa in range(n * n):
         h, g = divmod(kappa, n)
-        i = p * at["p"] + q * at["q"] + h * at["h"] + g * at["g"]
-        cols[i] = sv_canon(field, acc)
-    return LinearMap.from_columns(field, n4, n4, cols)
+        for p in range(n):
+            for q in range(n):
+                i = p * at["p"] + q * at["q"] + h * at["h"] + g * at["g"]
+                cols[i] = sv_canon(field, setup.place(rule, p, kappa, q, to))
+    return LinearMap.from_columns(field, n ** 4, n ** 4, cols)
 
 
 # ---------------------------------------------------------------------------

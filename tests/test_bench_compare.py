@@ -91,3 +91,29 @@ def test_traced_runs_alternate_and_report_medians(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     # medians 2.0 -> 3.5; the unchanged call count is not printed
     assert out[1:] == ["  layer.s: 2 -> 3.5 (+75.0%)"]
+
+
+def test_each_printed_layer_metric_is_followed_by_its_spread(monkeypatch,
+                                                             capsys):
+    """Under every per-layer line, stderr gets each side's [min, max]
+    over its traced runs; a metric that did not move gets neither, and a
+    metric one side lacks gets the other side's spread only."""
+    module = load_script()
+    readings = {"base": iter([1.0, 9.0, 2.0]), "change": iter([3.0, 3.5, 30])}
+
+    def run_once(side, tree, args, seed, trace=0):
+        metrics = {"layer.s": next(readings[side]), "layer.calls": 4,
+                   "still.s": 1.0}
+        if side == "change":
+            metrics["new.calls"] = 7
+        return metrics, 0
+
+    monkeypatch.setattr(module, "run_once", run_once)
+    args = type("Args", (), {"trace_seed": 11})()
+    module.compare_layers({"base": "b", "change": "c"}, args)
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == ["  layer.s: 2 -> 3.5 (+75.0%)",
+                                             "  new.calls: None -> 7"]
+    assert captured.err.splitlines() == [
+        "    spread: base [1, 9], change [3, 30]",
+        "    spread: change [7, 7]"]
