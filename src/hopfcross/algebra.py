@@ -187,24 +187,26 @@ def check_algebra_axioms(alg, mode=None):
     """Unit law and associativity, exhaustive or on random exact vectors."""
     return check_unit_and_associativity(
         alg.field, alg.dim, alg.unit_sv(), list(alg.unit),
-        alg.mul_sv, lambda: algebra_rows(alg).__getitem__, alg.mul_dense,
-        mode)
+        lambda: algebra_rows(alg).__getitem__, alg.mul_dense, mode)
 
 
-def check_unit_and_associativity(field, n, unit, unit_dense, product,
-                                 rows, product_dense, mode):
-    """Unit law and associativity of a product given by its sparse and
-    dense kernels and by `rows()`, which makes the row function
-    {j: {k: c}} of the exhaustive check, its product and its left regular
-    action at once, only when it runs; shared by algebras and handles."""
+def check_unit_and_associativity(field, n, unit, unit_dense, rows,
+                                 product_dense, mode):
+    """Unit law and associativity of a product given by its dense kernel
+    and by `rows()`, which makes the row function {j: {k: c}} of the
+    exhaustive check (unit.e_i = sum c_u row(u)[i], e_i.unit = sum c_u
+    row(i)[u], left regular action) only when it runs."""
     one = field.one
 
     def exhaustive():
-        for i in range(n):
-            e = {i: one}
-            yield 0, "unit-law-left", (i,), product(unit, e), e
-            yield 1, "unit-law-right", (i,), product(e, unit), e
         row = rows()
+        for i in range(n):
+            e, left, right = {i: one}, {}, {}
+            for u, c in unit.items():
+                sv_add_into(left, row(u).get(i, {}), c)
+                sv_add_into(right, row(i).get(u, {}), c)
+            yield 0, "unit-law-left", (i,), sv_canon(field, left), e
+            yield 1, "unit-law-right", (i,), sv_canon(field, right), e
         yield from associativity_blocks(field, n, n, row, row, "left",
                                         "associativity")
 
@@ -234,7 +236,8 @@ def associativity_blocks(field, n, m_dim, product_row, act_row, side, axiom):
     sparse dicts keyed by the flattened (j, t, s): one side runs over
     the nonzero terms e_i e_j = sum c e_m, then over e_m acting on m_t;
     the other acts on m_t by e_j then e_i (left) or e_i then e_j
-    (right), the second through the nonzero terms c m_u of the first.
+    (right), joined on the middle index u with the actions of the e_j
+    (`by_u`), so it reads only pairs of nonzero terms.
     The keys (j, t, s) partition the block, identity (i, j, t) owning
     the keys with that (j, t), so the two dicts are equal if and only if
     every one of the n*m_dim identities holds: the check stays exact and
@@ -249,17 +252,16 @@ def associativity_blocks(field, n, m_dim, product_row, act_row, side, axiom):
     """
     stride = m_dim * m_dim
     acts = [act_row(m) for m in range(n)]
-    if side == "left":
-        # every nonzero term e_j.m_t = c m_u, as (flattened (j, t, 0), u, c)
-        steps = [((j * m_dim + t) * m_dim, u, c)
-                 for j in range(n) for t, out in acts[j].items()
-                 for u, c in out.items()]
-    else:
-        # by_u[u] = [(flattened (j, 0, 0), m_u.e_j)], nonzero only
-        by_u = [[] for _ in range(m_dim)]
-        for j in range(n):
-            for u, out in acts[j].items():
-                by_u[u].append((j * stride, out))
+    # left: by_u[u] = [(flattened (j, t, 0), c)] over the nonzero
+    # e_j.m_t = c m_u; right: by_u[u] = [(flattened (j, 0, 0), m_u.e_j)]
+    by_u = [[] for _ in range(m_dim)]
+    for j in range(n):
+        for t, out in acts[j].items():
+            if side == "left":
+                for u, c in out.items():
+                    by_u[u].append(((j * m_dim + t) * m_dim, c))
+            else:
+                by_u[t].append((j * stride, out))
     for i in range(n):
         left, right = {}, {}
         for j, prod in product_row(i).items():
@@ -272,9 +274,8 @@ def associativity_blocks(field, n, m_dim, product_row, act_row, side, axiom):
                         left[key] = left.get(key, 0) + c * c2
         row = acts[i]
         if side == "left":
-            for at, u, c in steps:
-                out = row.get(u)
-                if out:
+            for u, out in row.items():
+                for at, c in by_u[u]:
                     for s, c2 in out.items():
                         key = at + s
                         right[key] = right.get(key, 0) + c * c2

@@ -178,8 +178,7 @@ def check_handle_axioms(handle, mode=None):
     """Unit law and associativity through the compiled rows."""
     return check_unit_and_associativity(
         handle.field, handle.dim, handle.unit, handle.unit_dense(),
-        handle.product, lambda: keyed_rows(handle._row),
-        handle.product_dense, mode)
+        lambda: keyed_rows(handle._row), handle.product_dense, mode)
 
 
 # ---------------------------------------------------------------------------
