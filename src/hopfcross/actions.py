@@ -110,14 +110,39 @@ def module_items(act, actor_alg):
 def commute_items(first, second, axiom):
     """Items (1, axiom, (x, y, j), y.(x.m_j), x.(y.m_j)) for every actor x
     of `first`, actor y of `second` and basis element m_j: the two
-    actions on one space commute."""
-    one = first.field.one
-    for x in range(first.actor_dim):
-        for y in range(second.actor_dim):
-            for j in range(first.space_dim):
-                yield (1, axiom, (x, y, j),
-                       second.act_sv({y: one}, first.act_basis(x, j)),
-                       first.act_sv({x: one}, second.act_basis(y, j)))
+    actions on one space commute, the exchange relation of the flip."""
+    one, dx = first.field.one, first.actor_dim
+    for count, name, witness, lhs, rhs in exchange_items(
+            first, second, axiom, lambda x, y: {y * dx + x: one}):
+        yield count, name, witness, rhs, lhs
+
+
+def exchange_items(x_act, y_act, axiom, twist, inverse=None):
+    """The exchange relation of two left actions on one space, the module
+    condition of a twisted tensor product: items (1, axiom, (x, y, j),
+    x.(y.m_j), sum c y'.(x'.m_j)) per actor x, actor y and basis m_j, in
+    that order, for R(x (x) y) = sum c y' (x) x' flattened y' dim X + x'.
+    `inverse` = (axiom, R^-1) follows each item with y.(x.m_j) =
+    sum c x'.(y'.m_j), R^-1(y (x) x) = sum c x' (x) y' flattened
+    x' dim Y + y'.  Each twist is evaluated once per pair (x, y).
+    """
+    field, one = x_act.field, x_act.field.one
+    for x in range(x_act.actor_dim):
+        for y in range(y_act.actor_dim):
+            reads = [(axiom, x_act, y_act, x, y, twist(x, y))]
+            if inverse is not None:
+                reads.append((inverse[0], y_act, x_act, y, x,
+                              inverse[1](y, x)))
+            for j in range(x_act.space_dim):
+                for name, u_act, v_act, u, v, r in reads:
+                    acc = {}
+                    for k, c in r.items():
+                        v2, u2 = divmod(k, u_act.actor_dim)
+                        if inner := u_act.act_basis(u2, j):
+                            sv_add_into(acc, v_act.act_sv({v2: c}, inner), 1)
+                    yield (1, name, (x, y, j),
+                           u_act.act_sv({u: one}, v_act.act_basis(v, j)),
+                           sv_canon(field, acc))
 
 
 def check_module_algebra(side, hopf, alg, act):
@@ -275,6 +300,29 @@ def regular_actions(hopf):
             right.setdefault((v, j), {})[t] = c
     return (ActionData(field, n, n, "left", left),
             ActionData(field, n, n, "right", right))
+
+
+def composite_action(acts, m_dim):
+    """(x1 (x) ... (x) xk).m = x1.(...(xk.m)) as a left action tensor on the
+    left-major flattened actor basis.
+
+    The factors are folded in innermost first, so each partial image
+    (x_l (x) ... (x) xk).m_j is computed once; like the tensor, the
+    partial images are kept by (flattened suffix actor, j), nonzero only.
+    """
+    field = acts[0].field
+    one = field.one
+    tensor, dim = {(0, j): {j: one} for j in range(m_dim)}, 1
+    for act in reversed(acts):
+        folded = {}
+        for x in range(act.actor_dim):
+            ex = {x: one}
+            for (r, j), sv in tensor.items():
+                out = act.act_sv(ex, sv)
+                if out:
+                    folded[(x * dim + r, j)] = out
+        tensor, dim = folded, dim * act.actor_dim
+    return ActionData(field, dim, m_dim, "left", tensor)
 
 
 def trivial_action(hopf, space_dim, side):

@@ -14,21 +14,26 @@ Such a module is simultaneously a left module over each of the four-slot
 product algebras; `derived_action` builds each action as a composite of
 the module's factor actions, with no slot rule, and the equalities
 between them under the isomorphisms are verified by
-`verify_action_correspondence`.
+`verify_action_correspondence`.  The paper's conditions (ii) and (iii),
+their S^-1 forms and the diagonal condition are one stream,
+`actions.exchange_items`, over the twisting maps of `crossed`.
 """
 
 from dataclasses import dataclass
 
 from .actions import (ActionData, CoactionData, bicomodule_to_module,
                       coaction_items, coherence_items, commute_items,
-                      evaluation_action, module_items)
+                      composite_action, evaluation_action, exchange_items,
+                      module_items)
 from .algebra import (associativity_blocks, dual_hopf, keyed_rows,
                       op_algebra, random_dense_vector)
 from .crossed import (LAYOUTS, StandardTriple, diagonal_crossed,
+                      diagonal_twist, left_smash_twist, left_smash_twist_inv,
+                      right_smash_twist, right_smash_twist_inv,
                       two_sided_crossed)
 from .errors import DimensionMismatchError
 from .isos import MORPHISM_TRIALS, build_iso
-from .linalg import sv_add_into, sv_canon, sv_from_list, sv_tensor
+from .linalg import sv_canon, sv_from_list, sv_tensor
 from .report import MORPHISM_DIM_CAP, certify, certify_exhaustive
 
 
@@ -316,34 +321,17 @@ def assemble_two_sided_action(triple, a_dim, h_dim, b_dim):
     """(a # h # b).m = a.(h.(b.m)) as an explicit action tensor; the dims
     must be the actor dims of the triple's three actions."""
     acts = (triple.a_act, triple.h_act, triple.b_act)
-    got = tuple(act.actor_dim for act in acts)
-    if got != (a_dim, h_dim, b_dim):
-        raise DimensionMismatchError(f"the triple's actor dims are {got}, "
-                                     f"not {(a_dim, h_dim, b_dim)}")
+    _require_actor_dims(acts, (a_dim, h_dim, b_dim))
     return composite_action(acts, triple.space_dim)
 
 
-def composite_action(acts, m_dim):
-    """(x1 (x) ... (x) xk).m = x1.(...(xk.m)) as a left action tensor on the
-    left-major flattened actor basis.
-
-    The factors are folded in innermost first, so each partial image
-    (x_l (x) ... (x) xk).m_j is computed once; like the tensor, the
-    partial images are kept by (flattened suffix actor, j), nonzero only.
-    """
-    field = acts[0].field
-    one = field.one
-    tensor, dim = {(0, j): {j: one} for j in range(m_dim)}, 1
-    for act in reversed(acts):
-        folded = {}
-        for x in range(act.actor_dim):
-            ex = {x: one}
-            for (r, j), sv in tensor.items():
-                out = act.act_sv(ex, sv)
-                if out:
-                    folded[(x * dim + r, j)] = out
-        tensor, dim = folded, dim * act.actor_dim
-    return ActionData(field, dim, m_dim, "left", tensor)
+def _require_actor_dims(acts, dims):
+    """DimensionMismatchError unless `acts` act by `dims` on one space."""
+    got = tuple(act.actor_dim for act in acts)
+    if got != dims:
+        raise DimensionMismatchError(f"the actor dims are {got}, not {dims}")
+    if len({act.space_dim for act in acts}) != 1:
+        raise DimensionMismatchError("the actions act on different spaces")
 
 
 def triple_module_roundtrip(triple, a_alg, hopf_mid, b_alg, act_left_a,
@@ -357,8 +345,8 @@ def triple_module_roundtrip(triple, a_alg, hopf_mid, b_alg, act_left_a,
     arguments, when the caller has one already; it is built otherwise.
     The conditions and restrictions are exhaustive; the module axiom
     runs in `mode`, and the report records that mode.  Unless the
-    triple's actor dims are (dim A, dim H, dim B), DimensionMismatchError
-    is raised before anything is checked.
+    triple's actions act by (dim A, dim H, dim B) on one space,
+    DimensionMismatchError is raised before anything is checked.
     """
     dims = (a_alg.dim, hopf_mid.dim, b_alg.dim)
     assembled = assemble_two_sided_action(triple, *dims)
@@ -379,55 +367,25 @@ def triple_module_roundtrip(triple, a_alg, hopf_mid, b_alg, act_left_a,
 
 
 def _triple_condition_items(triple, dims, hopf_mid, act_left_a, act_right_b):
-    field = triple.a_act.field
-    one = field.one
-    m_dim = triple.space_dim
+    """Condition (i), that A and B commute, then the exchange relations
+    of H # B on (b, h) and of A # H on (h, a), each through its smash R
+    and, item beside item, its R^-1; the caller checked `dims`:
+
+      (ii)        b.(h.m) = sum h1.((b <- h2).m)
+      (ii) S^-1   h.(b.m) = sum (b <- S^-1(h2)).(h1.m)
+      (iii)       h.(a.m) = sum (h1 -> a).(h2.m)
+      (iii) S^-1  a.(h.m) = sum h2.((S^-1(h1) -> a).m)
+    """
     a_act, h_act, b_act = triple.a_act, triple.h_act, triple.b_act
-    da, dh, db = dims
     yield from commute_items(a_act, b_act, "condition-i")
-    s_inv = hopf_mid.antipode_inv_col
-    # (ii) on B over (b, h, j) and (iii) on A over (h, a, j), each with its
-    # S^-1 form: x in B or A is moved by one coproduct leg of h and the
-    # other leg acts on m.  A row is (axiom, x acts last on the left-hand
-    # side, moving leg, moved through S^-1); the right-hand side acts in
-    # the other order.
-    #   (ii)        b.(h.m) = sum h1.((b <- h2).m)
-    #   (ii) S^-1   h.(b.m) = sum (b <- S^-1(h2)).(h1.m)
-    #   (iii)       h.(a.m) = sum (h1 -> a).(h2.m)
-    #   (iii) S^-1  a.(h.m) = sum h2.((S^-1(h1) -> a).m)
-    blocks = (
-        (b_act, act_right_b,
-         [(x, h, (x, h)) for x in range(db) for h in range(dh)],
-         (("condition-ii", True, 1, False),
-          ("condition-ii-inverse-form", False, 1, True))),
-        (a_act, act_left_a,
-         [(x, h, (h, x)) for h in range(dh) for x in range(da)],
-         (("condition-iii", False, 0, False),
-          ("condition-iii-inverse-form", True, 0, True))))
-    for x_act, mover, pairs, rows in blocks:
-        for x, h, witness in pairs:
-            delta = hopf_mid.coalgebra.delta(h)
-            for j in range(m_dim):
-                for axiom, x_last, leg, inverse in rows:
-                    if x_last:
-                        lhs = x_act.act_sv({x: one}, h_act.act_basis(h, j))
-                    else:
-                        lhs = h_act.act_sv({h: one}, x_act.act_basis(x, j))
-                    acc = {}
-                    for *legs, c in delta:
-                        if inverse:
-                            moved = mover.act_sv(s_inv(legs[leg]), {x: one})
-                        else:
-                            moved = mover.act_basis(legs[leg], x)
-                        other = legs[1 - leg]
-                        if x_last:
-                            out = h_act.act_sv({other: one},
-                                               x_act.act_sv(moved, {j: one}))
-                        else:
-                            out = x_act.act_sv(moved,
-                                               h_act.act_basis(other, j))
-                        sv_add_into(acc, out, c)
-                    yield (1, axiom, (*witness, j), lhs, sv_canon(field, acc))
+    yield from exchange_items(
+        b_act, h_act, "condition-ii", right_smash_twist(hopf_mid, act_right_b),
+        ("condition-ii-inverse-form",
+         right_smash_twist_inv(hopf_mid, act_right_b)))
+    yield from exchange_items(
+        h_act, a_act, "condition-iii", left_smash_twist(hopf_mid, act_left_a),
+        ("condition-iii-inverse-form",
+         left_smash_twist_inv(hopf_mid, act_left_a)))
 
 
 def _restriction_items(triple, assembled, units, dims):
@@ -449,41 +407,26 @@ def _restriction_items(triple, assembled, units, dims):
 
 def diagonal_module_condition(c_act, h_act, c_alg, hopf_mid, act_left_c,
                               act_right_c, mode=None, handle=None):
-    """h.(c.m) = sum (h1.c.S^-1(h3)).(h2.m), and the assembled action
-    (c >< h).m = c.(h.m) is a module over the diagonal crossed product.
+    """h.(c.m) = sum (h1.c.S^-1(h3)).(h2.m), the exchange relation of
+    C >< H, and the assembled action (c >< h).m = c.(h.m) is a module
+    over the diagonal crossed product.
 
     `handle` is C >< H as `diagonal_crossed` builds it from these
     arguments, when the caller has one already; it is built otherwise.
     The condition is exhaustive; the module axiom runs in `mode`, and
-    the report records that mode."""
-    field = c_act.field
-    one = field.one
-    m_dim = c_act.space_dim
-    dc, dh = c_alg.dim, hopf_mid.dim
-    s_inv = hopf_mid.antipode_inv_col
-
-    def items():
-        for h in range(dh):
-            d2 = hopf_mid.coalgebra.delta2(h)
-            for c in range(dc):
-                for j in range(m_dim):
-                    acc = {}
-                    for h1, h2, h3, w in d2:
-                        moved = act_right_c.act_sv(s_inv(h3),
-                                                   act_left_c.act_basis(h1, c))
-                        inner = h_act.act_basis(h2, j)
-                        sv_add_into(acc, c_act.act_sv(moved, inner), w)
-                    yield (1, "diagonal-condition", (h, c, j),
-                           h_act.act_sv({h: one}, c_act.act_basis(c, j)),
-                           sv_canon(field, acc))
-
-    condition = certify_exhaustive(items())
+    the report records that mode.  Unless `c_act` and `h_act` act by
+    (dim C, dim H) on one space, DimensionMismatchError is raised before
+    anything is checked."""
+    _require_actor_dims((c_act, h_act), (c_alg.dim, hopf_mid.dim))
+    condition = certify_exhaustive(exchange_items(
+        h_act, c_act, "diagonal-condition",
+        diagonal_twist(hopf_mid, act_left_c, act_right_c)))
     if not condition.passed:
         return condition
     if handle is None:
         handle = diagonal_crossed(c_alg, hopf_mid, act_left_c, act_right_c,
                                   verify=False)
-    assembled = composite_action((c_act, h_act), m_dim)
+    assembled = composite_action((c_act, h_act), c_act.space_dim)
     return check_module_over_handle(handle, assembled, mode).absorb(condition)
 
 

@@ -26,15 +26,10 @@ dual D and K = H (x) H^op:
   straightens ((1(x)1)(x)(p(x)q)) ((g(x)h)(x)(1(x)1)) to
   sum (g2 (x) h2) (x) (S^-1(h1)->p<-S(g1) (x) S(h3)->q<-S^-1(g3)).
 
-Each handle keeps one product store, its compiled rows: row i is one
-flat [j, k, c, ...] list of the nonzero structure constants of
-e_i e_j = sum c e_k, built on first use in one pass, from the twist row
-R(b (x) a') over every a', the products a a3 of A and the nonzero
-products of B, so a handle costs O(dim) until it is used.  Every reader
-uses them: `basis_product` by binary search, the sparse and dense
-products, the exhaustive associativity, module and morphism
-certificates, and `materialize`, all over nonzero terms only.  R is
-evaluated once per basis pair (b, a').
+Each R is one constructor, `left_smash_twist`, `right_smash_twist` or
+`diagonal_twist` (the two-sided R carries a along the right-smash R),
+read by the builders and, with the `_inv` twists, by the module
+conditions of `bimodules`.
 
 Only the maps between X, Y and Z and X's twist use slot rules: they
 move the dual slots p and q by regular arrows, stored once as the
@@ -52,7 +47,8 @@ from .algebra import (AlgebraData, check_unit_and_associativity, dual_hopf,
                       keyed_rows, op_algebra, tensor_algebra, tensor_hopf,
                       variant)
 from .actions import (ActionData, build_bimodule_algebra,
-                      check_bimodule_algebra, check_module_algebra)
+                      check_bimodule_algebra, check_module_algebra,
+                      composite_action, regular_actions)
 from .errors import CapExceededError
 from .linalg import add_tensor, sv_canon, sv_tensor
 
@@ -262,26 +258,88 @@ def twisted_tensor(field, a_mul, b_mul, db, twist, factor_dims, labels, unit,
                          row)
 
 
+def _tensor_sum(dim_y, terms):
+    """sum x (x) y over the sparse pairs (x, y) of `terms`, flattened."""
+    acc = {}
+    for x, y in terms:
+        add_tensor(acc, x, y, dim_y, 1)
+    return acc
+
+
+def left_smash_twist(hopf, act):
+    """R(h (x) a) = sum h1.a (x) h2, the twist of A # H."""
+    dh, delta = hopf.dim, hopf.coalgebra.delta
+
+    def twist(h, a):
+        acc = {}
+        for h1, h2, c in delta(h):
+            add_tensor(acc, act.act_basis(h1, a), {h2: c}, dh, 1)
+        return acc
+
+    return twist
+
+
+def left_smash_twist_inv(hopf, act):
+    """R^-1(a (x) h) = sum h2 (x) S^-1(h1).a, on H (x) A."""
+    delta, s_inv = hopf.coalgebra.delta, hopf.antipode_inv_col
+    one = act.field.one
+    return lambda a, h: _tensor_sum(act.space_dim, (
+        ({h2: c}, act.act_sv(s_inv(h1), {a: one})) for h1, h2, c in delta(h)))
+
+
+def right_smash_twist(hopf, act):
+    """R(b (x) h) = sum h1 (x) b.h2, the twist of H # B."""
+    db, delta = act.space_dim, hopf.coalgebra.delta
+
+    def twist(b, h):
+        acc = {}
+        for h1, h2, c in delta(h):
+            add_tensor(acc, {h1: c}, act.act_basis(h2, b), db, 1)
+        return acc
+
+    return twist
+
+
+def right_smash_twist_inv(hopf, act):
+    """R^-1(h (x) b) = sum b.S^-1(h2) (x) h1, on B (x) H."""
+    delta, s_inv = hopf.coalgebra.delta, hopf.antipode_inv_col
+    one = act.field.one
+    return lambda h, b: _tensor_sum(hopf.dim, (
+        (act.act_sv(s_inv(h2), {b: one}), {h1: c}) for h1, h2, c in delta(h)))
+
+
+def diagonal_twist(hopf, act_left, act_right):
+    """R(h (x) c) = sum h1.c.S^-1(h3) (x) h2, the twist of C >< H."""
+    dh, delta2, s_inv = hopf.dim, hopf.coalgebra.delta2, hopf.antipode_inv_col
+
+    def twist(h, c):
+        acc = {}
+        for h1, h2, h3, w in delta2(h):
+            if moved := act_left.act_basis(h1, c):
+                add_tensor(acc, act_right.act_sv(s_inv(h3), moved), {h2: w},
+                           dh, 1)
+        return acc
+
+    return twist
+
+
+def _twisted_pair(a_alg, b_alg, twist, sep, provenance):
+    """A (x)_R B for two algebras, with the basis labels a{sep}b."""
+    dims = (a_alg.dim, b_alg.dim)
+    labels = [f"{la}{sep}{lb}" for la in a_alg.basis_labels
+              for lb in b_alg.basis_labels]
+    unit = sv_tensor(a_alg.field, [a_alg.unit_sv(), b_alg.unit_sv()], dims)
+    return twisted_tensor(a_alg.field, a_alg.mul_basis, b_alg.mul_basis,
+                          b_alg.dim, twist, dims, labels, unit, provenance)
+
+
 def left_smash(a_alg, hopf, act, verify=True, provenance="left_smash"):
     """A # H for a left H-module algebra A."""
     if verify:
         check_module_algebra("left", hopf, a_alg, act).require(
             "left smash needs a module algebra")
-    field = a_alg.field
-    da, dh = a_alg.dim, hopf.dim
-    delta = hopf.coalgebra.delta
-
-    def twist(h, b):
-        acc = {}
-        for h1, h2, c in delta(h):
-            add_tensor(acc, act.act_basis(h1, b), {h2: c}, dh, 1)
-        return acc
-
-    labels = [f"{la}#{lh}" for la in a_alg.basis_labels
-              for lh in hopf.basis_labels]
-    unit = sv_tensor(field, [a_alg.unit_sv(), hopf.algebra.unit_sv()], [da, dh])
-    return twisted_tensor(field, a_alg.mul_basis, hopf.algebra.mul_basis, dh,
-                          twist, (da, dh), labels, unit, provenance)
+    return _twisted_pair(a_alg, hopf.algebra, left_smash_twist(hopf, act),
+                         "#", provenance)
 
 
 def right_smash(hopf, b_alg, act, verify=True, provenance="right_smash"):
@@ -289,21 +347,8 @@ def right_smash(hopf, b_alg, act, verify=True, provenance="right_smash"):
     if verify:
         check_module_algebra("right", hopf, b_alg, act).require(
             "right smash needs a module algebra")
-    field = b_alg.field
-    dh, db = hopf.dim, b_alg.dim
-    delta = hopf.coalgebra.delta
-
-    def twist(a, g):
-        acc = {}
-        for g1, g2, c in delta(g):
-            add_tensor(acc, {g1: c}, act.act_basis(g2, a), db, 1)
-        return acc
-
-    labels = [f"{lh}#{lb}" for lh in hopf.basis_labels
-              for lb in b_alg.basis_labels]
-    unit = sv_tensor(field, [hopf.algebra.unit_sv(), b_alg.unit_sv()], [dh, db])
-    return twisted_tensor(field, hopf.algebra.mul_basis, b_alg.mul_basis, db,
-                          twist, (dh, db), labels, unit, provenance)
+    return _twisted_pair(hopf.algebra, b_alg, right_smash_twist(hopf, act),
+                         "#", provenance)
 
 
 def two_sided_crossed(a_alg, hopf, b_alg, act_left, act_right, verify=True,
@@ -317,23 +362,19 @@ def two_sided_crossed(a_alg, hopf, b_alg, act_left, act_right, verify=True,
             "left factor fails its axioms")
         check_module_algebra("right", hopf, b_alg, act_right).require(
             "right factor fails its axioms")
-    field = a_alg.field
     da, dh, db = a_alg.dim, hopf.dim, b_alg.dim
-    delta = hopf.coalgebra.delta
     left = left_smash(a_alg, hopf, act_left, verify=False)
+    right = right_smash_twist(hopf, act_right)
 
     def twist(b, ah):
         a, h = divmod(ah, dh)
-        acc = {}
-        for h1, h2, c in delta(h):
-            add_tensor(acc, {a * dh + h1: c}, act_right.act_basis(h2, b), db, 1)
-        return acc
+        return {a * dh * db + k: c for k, c in right(b, h).items()}
 
     labels = [f"{la}#{lb}" for la in left.basis_labels
               for lb in b_alg.basis_labels]
-    unit = sv_tensor(field, [left.unit, b_alg.unit_sv()], [da * dh, db])
-    handle = twisted_tensor(field, left.basis_product, b_alg.mul_basis, db,
-                            twist, (da, dh, db), labels, unit, provenance)
+    unit = sv_tensor(a_alg.field, [left.unit, b_alg.unit_sv()], [da * dh, db])
+    handle = twisted_tensor(a_alg.field, left.basis_product, b_alg.mul_basis,
+                            db, twist, (da, dh, db), labels, unit, provenance)
     handle.left = left
     return handle
 
@@ -344,24 +385,9 @@ def diagonal_crossed(c_alg, hopf, act_left, act_right, verify=True,
     if verify:
         check_bimodule_algebra(hopf, c_alg, act_left, act_right).require(
             "C is not a bimodule algebra")
-    field = c_alg.field
-    dc, dh = c_alg.dim, hopf.dim
-    delta2 = hopf.coalgebra.delta2
-    s_inv_col = hopf.antipode_inv_col
-
-    def twist(h, c):
-        acc = {}
-        for h1, h2, h3, w in delta2(h):
-            if moved := act_left.act_basis(h1, c):
-                add_tensor(acc, act_right.act_sv(s_inv_col(h3), moved),
-                           {h2: w}, dh, 1)
-        return acc
-
-    labels = [f"{lc}><{lh}" for lc in c_alg.basis_labels
-              for lh in hopf.basis_labels]
-    unit = sv_tensor(field, [c_alg.unit_sv(), hopf.algebra.unit_sv()], [dc, dh])
-    return twisted_tensor(field, c_alg.mul_basis, hopf.algebra.mul_basis, dh,
-                          twist, (dc, dh), labels, unit, provenance)
+    return _twisted_pair(c_alg, hopf.algebra,
+                         diagonal_twist(hopf, act_left, act_right), "><",
+                         provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +400,8 @@ class StandardTriple:
     left K-action (h (x) g).f = h -> f <- g making D a K-module algebra,
     the right K-action f.(h (x) g) = S(h) -> f <- S^-1(g) making D^op one,
     and their tensor product C = D (x) D^op, a K-bimodule algebra.
-    The arrows are stored once, as the tensor of `act_on_dual`, built
-    from the products e_v e_t e_u; `act_on_dual_op` is read off it at
+    The arrows are stored once, as `act_on_dual`, the `composite_action`
+    of the regular actions; `act_on_dual_op` is read off it at
     S_K(kappa), and `arrow_basis` and `arrow_sv` read it.  The slot-move
     tables are cached here and read only by the slot rules of the
     isomorphisms and of X's twist (`place`); `isos` keeps each map
@@ -398,16 +424,10 @@ class StandardTriple:
         self.isos = {}
 
         n = self.n
-        alg = hopf.algebra
-        one = self.field.one
-        # e_u -> e^j <- e_v = sum_t (coefficient of e_j in e_v e_t e_u) e^t
-        arrows = {}
-        for kappa in range(n * n):
-            u, v = divmod(kappa, n)
-            for t in range(n):
-                for j, c in alg.mul_sv(alg.mul_basis(v, t), {u: one}).items():
-                    arrows.setdefault((kappa, j), {})[t] = c
-        self.act_on_dual = ActionData(self.field, n * n, n, "left", arrows)
+        # e_u -> f <- e_v, the right arrows read as a left H^op-action
+        left, right = regular_actions(hopf)
+        self.act_on_dual = composite_action(
+            (left, ActionData(self.field, n, n, "left", right.tensor)), n)
         # S_K = S (x) S^-1, so S(h) -> f <- S^-1(g) is S_K(h (x) g) acting
         self.act_on_dual_op = ActionData(
             self.field, n * n, n, "right",

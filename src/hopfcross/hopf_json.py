@@ -77,13 +77,6 @@ def _positive_int(v, where):
     return v
 
 
-def _blocks(data, key):
-    blocks = data.get(key, [])
-    if not isinstance(blocks, list):
-        raise FormatError(f"{key} must be a list of blocks")
-    return blocks
-
-
 def _table(field, entries, bounds, where):
     """The nonzero entries (i, j, k, c) of an [i, j, k, scalar] table.
 
@@ -214,39 +207,34 @@ def read_document(data):
                 or len(module_basis) != module_dim):
             raise FormatError("module.basis must list module.dim labels")
 
-    actions = []
-    for a in _blocks(data, "actions"):
-        _check_keys(a, ACTION_KEYS, "actions[]")
-        side, by = a.get("side"), a.get("by", "dual")
-        if side not in ("left", "right") or by not in ("self", "dual"):
-            raise FormatError("action needs side left/right and by self/dual")
-        if module_dim is None:
-            raise FormatError("actions require a module block")
-        tensor = {}
-        for i, j, k, c in _table(field, a.get("tensor", []),
-                                 (dim, module_dim, module_dim),
-                                 "action tensor"):
-            tensor.setdefault((i, j), {})[k] = c
-        actions.append((ActionData(field, dim, module_dim, side, tensor), by))
-
-    coactions = []
-    for c in _blocks(data, "coactions"):
-        _check_keys(c, ACTION_KEYS, "coactions[]")
-        side, by = c.get("side"), c.get("by", "dual")
-        if side not in ("left", "right") or by not in ("self", "dual"):
-            raise FormatError("coaction needs side left/right and by self/dual")
-        if module_dim is None:
-            raise FormatError("coactions require a module block")
-        tensor = {}
-        for leg, j, k, w in _table(field, c.get("tensor", []),
-                                   (dim, module_dim, module_dim),
-                                   "coaction tensor"):
-            tensor.setdefault(j, []).append((leg, k, w))
-        coactions.append(
-            (CoactionData(field, module_dim, dim, side, tensor), by))
+    blocks = {"actions": [], "coactions": []}
+    for key, parsed in blocks.items():
+        noun = key[:-1]
+        if not isinstance(data.get(key, []), list):
+            raise FormatError(f"{key} must be a list of blocks")
+        for block in data.get(key, []):
+            _check_keys(block, ACTION_KEYS, f"{key}[]")
+            side, by = block.get("side"), block.get("by", "dual")
+            if side not in ("left", "right") or by not in ("self", "dual"):
+                raise FormatError(
+                    f"{noun} needs side left/right and by self/dual")
+            if module_dim is None:
+                raise FormatError(f"{key} require a module block")
+            entries = _table(field, block.get("tensor", []),
+                             (dim, module_dim, module_dim), f"{noun} tensor")
+            tensor = {}
+            if key == "actions":
+                for i, j, k, c in entries:
+                    tensor.setdefault((i, j), {})[k] = c
+                built = ActionData(field, dim, module_dim, side, tensor)
+            else:
+                for leg, j, k, w in entries:
+                    tensor.setdefault(j, []).append((leg, k, w))
+                built = CoactionData(field, module_dim, dim, side, tensor)
+            parsed.append((built, by))
 
     return ParsedDocument(field, algebra, hopf, module_dim, module_basis,
-                          actions, coactions)
+                          **blocks)
 
 
 def load_document(path):

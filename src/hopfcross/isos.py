@@ -25,7 +25,7 @@ time.
 """
 
 from .algebra import keyed_rows, multiplicative_items, random_dense_vector
-from .crossed import LAYOUTS, StandardTriple
+from .crossed import LAYOUTS, X_TWIST, StandardTriple
 from .errors import DimensionMismatchError
 from .linalg import LinearMap, sv_canon
 from .report import MORPHISM_DIM_CAP, certify, certify_exhaustive
@@ -45,9 +45,9 @@ ISO_SPECS = {
     "alpha_inv": ("Z", "Y", 2, None, ("R", 1), 0),
     # X -> Z: sum (h1 -> p <- g1 (x) h3 -> q <- g3) >< (h2 (x) g2)
     "beta": ("X", "Z", 3, ("L", 0), ("L", 2), 1),
-    # Z -> X: sum (g2 (x) h2) (x)
-    #         (S^-1(h1) -> p <- S(g1) (x) S(h3) -> q <- S^-1(g3))
-    "beta_inv": ("Z", "X", 3, ("L~", 0), ("R", 2), 1),
+    # Z -> X: beta^-1((p (x) q) >< kappa) = (1 (x) (p (x) q)) (kappa (x) 1)
+    #         in X, which is X's twist of (p (x) q) (x) kappa
+    "beta_inv": ("Z", "X", *X_TWIST),
     # Y -> Z: f(a # k # b) = sum (a (x) b.S_K^-1(k2)) >< k1
     "f": ("Y", "Z", 2, None, ("R~", 1), 0),
     # Z -> Y: f^-1((a (x) b) >< k) = sum a # k1 # b.k2
