@@ -5,8 +5,12 @@ For each entry this constructs the three four-slot product algebras,
 compiles their product rows (timed on a line of its own), certifies
 associativity exhaustively on the compiled rows (every basis triple,
 dim 256 included), and over the rationals reports the trace-form radical
-dimension of X, Y and Z.  Times are `time.perf_counter` wall times.  The three are isomorphic, so the script exits 1
-if their radical dimensions differ.
+dimension of X, Y and Z.  It then builds phi, alpha and beta and
+certifies each as an algebra map exhaustively on the same rows (every
+basis pair, dim 256 included), the build untimed.  Times are
+`time.perf_counter` wall times.  The script exits 1 if a certificate
+fails, or if the radical dimensions of X, Y and Z, which are
+isomorphic, differ.
 
     PYTHONPATH=src python scripts/build_catalog_products.py [--entries ...]
 """
@@ -19,6 +23,7 @@ from hopfcross.algebra import trace_form_radical
 from hopfcross.catalog import catalog_named
 from hopfcross.crossed import (StandardTriple, build_xyz, check_handle_axioms,
                                materialize)
+from hopfcross.isos import ISO_SPECS, build_iso, verify_algebra_morphism
 from hopfcross.report import CheckMode
 
 ENTRIES = ("cyclic:2", "cyclic:3", "dual_cyclic:2", "dual_cyclic:3",
@@ -37,8 +42,9 @@ def main():
         print(f"== {name} (dim {hopf.dim}, field {hopf.field}, "
               f"products dim {hopf.dim ** 4})")
         radical_dims = set()
+        handles = {}
         for which in ("X", "Y", "Z"):
-            handle = build_xyz(hopf, which, setup)
+            handle = handles[which] = build_xyz(hopf, which, setup)
             start = time.perf_counter()
             for i in range(handle.dim):
                 handle._row(i)      # compile every row before the timing
@@ -46,6 +52,7 @@ def main():
                   f"({time.perf_counter() - start:.3f}s)")
             start = time.perf_counter()
             report = check_handle_axioms(handle, CheckMode.exhaustive())
+            failed |= not report.passed
             status = "pass" if report.passed else "FAIL"
             print(f"   {which}: associativity {status} "
                   f"(exhaustive, {report.checked} checks, "
@@ -57,6 +64,17 @@ def main():
                 radical_dims.add(len(radical))
                 print(f"   {which} radical dimension over Q: {len(radical)} "
                       f"({time.perf_counter() - start:.3f}s)")
+        for kind in ("phi", "alpha", "beta"):
+            src, dst = (handles[w] for w in ISO_SPECS[kind][:2])
+            lm = build_iso(kind, hopf, setup)
+            start = time.perf_counter()
+            report = verify_algebra_morphism(lm, src, dst,
+                                             mode=CheckMode.exhaustive())
+            failed |= not report.passed
+            status = "pass" if report.passed else "FAIL"
+            print(f"   {kind}: {' -> '.join(ISO_SPECS[kind][:2])} morphism "
+                  f"{status} (exhaustive, {report.checked} checks, "
+                  f"{time.perf_counter() - start:.3f}s)")
         if len(radical_dims) > 1:
             failed = True
             print("   FAIL: X, Y, Z are isomorphic but their radical "

@@ -15,6 +15,7 @@ element of H" is coefficient extraction.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .algebra import (algebra_rows, associativity_blocks, block_item,
                       dual_hopf, grouped_rows, multiplicative_items,
@@ -111,10 +112,15 @@ def commute_items(first, second, axiom):
     """Items (1, axiom, (x, y, j), y.(x.m_j), x.(y.m_j)) for every actor x
     of `first`, actor y of `second` and basis element m_j: the two
     actions on one space commute, the exchange relation of the flip."""
-    one, dx = first.field.one, first.actor_dim
     for count, name, witness, lhs, rhs in exchange_items(
-            first, second, axiom, lambda x, y: {y * dx + x: one}):
+            first, second, axiom, _flip(first)):
         yield count, name, witness, rhs, lhs
+
+
+def _flip(x_act):
+    """The flip R(x (x) y) = y (x) x, flattened y dim X + x."""
+    one, dx = x_act.field.one, x_act.actor_dim
+    return lambda x, y: {y * dx + x: one}
 
 
 def exchange_items(x_act, y_act, axiom, twist, inverse=None):
@@ -368,16 +374,11 @@ def build_bimodule_algebra(a_alg, act_left, b_alg, act_right, hopf,
 
 def check_bimodule_algebra(hopf, alg, act_left, act_right):
     """Left and right module-algebra axioms plus h.(c.g) = (h.c).g."""
-
-    def items():
-        yield from module_algebra_items("left", hopf, alg, act_left)
-        yield from module_algebra_items("right", hopf, alg, act_right)
-        # reported as h.(c.g) against (h.c).g: commute_items' sides swapped
-        for count, axiom, witness, hc_g, h_cg in commute_items(
-                act_left, act_right, "bimodule-actions-commute"):
-            yield count, axiom, witness, h_cg, hc_g
-
-    return certify_exhaustive(items())
+    return certify_exhaustive(chain(
+        module_algebra_items("left", hopf, alg, act_left),
+        module_algebra_items("right", hopf, alg, act_right),
+        exchange_items(act_left, act_right, "bimodule-actions-commute",
+                       _flip(act_left))))
 
 
 def bicomodule_to_module(left_co, right_co, hopf):

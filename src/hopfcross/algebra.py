@@ -311,22 +311,21 @@ def block_item(field, axiom, witness, count, width, left, right,
 
 
 def multiplicative_items(field, axiom, n, src_row, images, dst_row, width):
-    """Items (1, axiom, (i, j), F(e_i e_j), F(e_i) F(e_j)) for all i, j < n,
-    where F(e_k) = images[k] has coordinates below `width`: the linear
-    map F is multiplicative.
+    """Blocks of the items (1, axiom, (i, j), F(e_i e_j), F(e_i) F(e_j))
+    for all i, j < n, where F(e_k) = images[k] has coordinates below
+    `width`: the linear map F is multiplicative.  One `block_item` per
+    left index i, so the report is that of the per-pair stream.
 
     Rows are mappings {j: {k: c}} over the nonzero structure
     constants e_i e_j = sum c e_k (`algebra_rows`, `keyed_rows`,
     `tensor_rows`): `src_row(i)` of the source, `dst_row(a)` of the
-    target.  The stream runs one left index i at a time.  F(e_i e_j)
-    for every j is summed from the terms of row i of the source.
-    F(e_i) F(e_j) for every j is summed over the terms a of F(e_i),
-    joining row a of the target with the transpose of the images,
-    b -> [(j, coefficient of e_b in F(e_j))], built once; the join walks
-    whichever side is smaller and looks the other up.  Both sides are
-    keyed by j * width + s, canonicalised once per i and split by j, so
-    each item is that of the per-pair loop, and only nonzero basis
-    products are read.  Each caller checks its own unit law."""
+    target.  F(e_i e_j) for every j is summed from the terms of row i of
+    the source.  F(e_i) F(e_j) for every j is summed over the terms a of
+    F(e_i), joining row a of the target with the transpose of the
+    images, b -> [(j, coefficient of e_b in F(e_j))], built once; the
+    join walks whichever side is smaller and looks the other up.  Both
+    sides are keyed by j * width + s, and only nonzero basis products
+    are read.  Each caller checks its own unit law."""
     by_b = {}           # b -> [(j * width, coefficient of e_b in F(e_j))]
     for j in range(n):
         for b, c in images[j].items():
@@ -353,13 +352,7 @@ def multiplicative_items(field, axiom, n, src_row, images, dst_row, width):
                     for at, cj in col:
                         key = at + s
                         rhs[key] = rhs.get(key, 0) + w * cj
-        sides = [{} for _ in range(n)], [{} for _ in range(n)]
-        for side, acc in zip(sides, (lhs, rhs)):
-            for key, c in sv_canon(field, acc).items():
-                j, s = divmod(key, width)
-                side[j][s] = c
-        for j, (left, right) in enumerate(zip(*sides)):
-            yield 1, axiom, (i, j), left, right
+        yield block_item(field, axiom, (i,), n, width, lhs, rhs)
 
 
 def algebra_rows(alg):
@@ -474,6 +467,10 @@ def check_hopf_axioms(hopf, mode=None):
 
 
 def _hopf_items(hopf):
+    """The items of `check_hopf_axioms` after the algebra axioms.  Delta
+    is multiplicative in one block per left index i, with the report of
+    the per-pair stream, where eps(e_i e_j) followed Delta(e_i e_j): the
+    eps items of the pairs block i holds go first and carry their counts."""
     alg, coa = hopf.algebra, hopf.coalgebra
     field = alg.field
     n = alg.dim
@@ -486,15 +483,15 @@ def _hopf_items(hopf):
     yield 0, "counit-of-unit", (), hopf.counit_sv(unit), field.one
     images = [coa.delta_sv({k: field.one}) for k in range(n)]
     row = algebra_rows(alg).__getitem__
-    for item in multiplicative_items(
+    for count, axiom, witness, lhs, rhs in multiplicative_items(
             field, "comult-multiplicative", n, row, images,
             tensor_rows(row, row, n), n * n):
-        yield item
-        i, j = item[2]
-        yield (0, "counit-multiplicative", (i, j),
-               field.canon(sum(c * coa.counit[k]
-                               for k, c in alg.mul_basis(i, j).items())),
-               field.canon(coa.counit[i] * coa.counit[j]))
+        i, stop = witness[0], witness[1] if len(witness) > 1 else n
+        for j in range(stop):
+            yield (1, "counit-multiplicative", (i, j),
+                   hopf.counit_sv(alg.mul_basis(i, j)),
+                   field.canon(coa.counit[i] * coa.counit[j]))
+        yield count - stop, axiom, witness, lhs, rhs
 
     # Convolution identities for the antipode.
     for i in range(n):

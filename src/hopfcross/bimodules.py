@@ -351,7 +351,7 @@ def triple_module_roundtrip(triple, a_alg, hopf_mid, b_alg, act_left_a,
     dims = (a_alg.dim, hopf_mid.dim, b_alg.dim)
     assembled = assemble_two_sided_action(triple, *dims)
     conditions = certify_exhaustive(_triple_condition_items(
-        triple, dims, hopf_mid, act_left_a, act_right_b))
+        triple, hopf_mid, act_left_a, act_right_b))
     if not conditions.passed:
         return conditions
     if handle is None:
@@ -366,10 +366,10 @@ def triple_module_roundtrip(triple, a_alg, hopf_mid, b_alg, act_left_a,
     return report
 
 
-def _triple_condition_items(triple, dims, hopf_mid, act_left_a, act_right_b):
+def _triple_condition_items(triple, hopf_mid, act_left_a, act_right_b):
     """Condition (i), that A and B commute, then the exchange relations
     of H # B on (b, h) and of A # H on (h, a), each through its smash R
-    and, item beside item, its R^-1; the caller checked `dims`:
+    and, item beside item, its R^-1; the caller checked the actor dims:
 
       (ii)        b.(h.m) = sum h1.((b <- h2).m)
       (ii) S^-1   h.(b.m) = sum (b <- S^-1(h2)).(h1.m)

@@ -19,9 +19,9 @@ against alpha becomes an independent check only once f is built by a
 generic construction for any triple (ROADMAP item 6, `generic_f`).
 
 Every certificate here runs through `report.certify`: the morphism check
-over the compiled rows of both handles or by random trials, the inverse
-and composition checks exhaustively, one column of the composite at a
-time.
+over the compiled rows of both handles, one block per left index with
+the report of the per-pair stream, or by random trials; the inverse and
+composition checks exhaustively, one column of the composite at a time.
 """
 
 from .algebra import keyed_rows, multiplicative_items, random_dense_vector
@@ -98,8 +98,8 @@ def verify_algebra_morphism(lm, src, dst, mode=None, seed=0,
     81, else `trials` seeded random exact vector pairs; both modes read
     the compiled rows of `src` and `dst`, the one product store of a
     handle.  The exhaustive check is `multiplicative_items` over the
-    rows (`AlgebraHandle._row`), one item per pair, so it reads only
-    the nonzero basis products.
+    rows (`AlgebraHandle._row`): one block per left index, the report
+    of the per-pair stream, reading only the nonzero basis products.
     """
     if lm.src_dim != src.dim or lm.dst_dim != dst.dim:
         raise DimensionMismatchError("map does not match the two algebras")

@@ -175,8 +175,7 @@ def test_triple_conditions_match_the_replaced_loop(name):
         assert len(cases) == 10
         failing = []
         for number, case in enumerate(cases):
-            new = list(_triple_condition_items(case, dims, hopf_mid, act_a,
-                                               act_b))
+            new = list(_triple_condition_items(case, hopf_mid, act_a, act_b))
             old = list(reference_triple_condition_items(case, dims, hopf_mid,
                                                         act_a, act_b))
             assert new == old, (kind, number)

@@ -6,6 +6,8 @@ whose products are semisimple over Q.  On Z the basis returned by
 `trace_form_radical` is compared entry for entry with a dense reference:
 every Gram entry tr(L_i L_j) summed over the terms of L_j, and the
 kernel taken by the dense Gauss-Jordan of `test_sparse_echelon.py`.
+`scripts/build_catalog_products.py` cross-checks the radicals and
+certifies phi, alpha and beta, and exits 1 when any check fails.
 """
 
 import contextlib
@@ -22,6 +24,7 @@ from hopfcross.algebra import trace_form_radical
 from hopfcross.catalog import catalog_named
 from hopfcross.crossed import StandardTriple, build_xyz, materialize
 from hopfcross.hopf_json import hopf_to_json, save_document
+from hopfcross.linalg import LinearMap
 
 from test_sparse_echelon import dense_kernel
 
@@ -142,3 +145,31 @@ def test_catalog_script_cross_checks_the_radicals(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "   Y radical dimension over Q: 1 (" in out
     assert "radical dimensions differ" in out
+
+
+def test_catalog_script_times_the_morphisms(monkeypatch, capsys):
+    script = load_catalog_script()
+    monkeypatch.setattr(sys, "argv", ["build_catalog_products.py",
+                                      "--entries", "cyclic:2"])
+    assert script.main() == 0
+    out = capsys.readouterr().out
+    arrows = {"phi": "X -> Y", "alpha": "Y -> Z", "beta": "X -> Z"}
+    for kind, arrow in arrows.items():
+        assert (f"   {kind}: {arrow} morphism pass (exhaustive, 256 checks, "
+                in out)
+
+    # alpha with one entry moved by one is not multiplicative
+    real = script.build_iso
+
+    def build(kind, hopf, setup):
+        lm = real(kind, hopf, setup)
+        if kind != "alpha":
+            return lm
+        rows = lm.rows
+        rows[0][0] = lm.field.canon(rows[0][0] + 1)
+        return LinearMap(lm.field, lm.src_dim, lm.dst_dim, rows)
+    monkeypatch.setattr(script, "build_iso", build)
+    assert script.main() == 1
+    out = capsys.readouterr().out
+    assert "   alpha: Y -> Z morphism FAIL (exhaustive, " in out
+    assert "   beta: X -> Z morphism pass (exhaustive, 256 checks, " in out
