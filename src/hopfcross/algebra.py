@@ -370,18 +370,25 @@ def grouped_rows(table, dim):
     return rows
 
 
+def keyed_row(flat):
+    """The row {j: {k: c}} of a row [j, k, c, ...], such as a compiled
+    row of a handle."""
+    out = {}
+    terms = iter(flat)
+    for j, k, c in zip(terms, terms, terms):
+        out.setdefault(j, {})[k] = c
+    return out
+
+
 def keyed_rows(flat_row):
-    """Rows {j: {k: c}} from rows [j, k, c, ...], such as the compiled
-    rows of a handle, each converted once and kept."""
+    """Rows {j: {k: c}} from rows [j, k, c, ...] (`keyed_row`), each
+    converted once and kept; a row is stored only once it is complete."""
     rows = {}
 
     def row(i):
         out = rows.get(i)
         if out is None:
-            out = rows[i] = {}
-            terms = iter(flat_row(i))
-            for j, k, c in zip(terms, terms, terms):
-                out.setdefault(j, {})[k] = c
+            out = rows[i] = keyed_row(flat_row(i))
         return out
     return row
 

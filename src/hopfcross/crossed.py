@@ -43,9 +43,9 @@ evaluates one rule into a slot order.
 import math
 from bisect import bisect_left
 
-from .algebra import (AlgebraData, check_unit_and_associativity, dual_hopf,
-                      keyed_rows, op_algebra, tensor_algebra, tensor_hopf,
-                      variant)
+from .algebra import (AlgebraData, algebra_rows, check_unit_and_associativity,
+                      dual_hopf, keyed_row, keyed_rows, op_algebra,
+                      tensor_algebra, tensor_hopf, variant)
 from .actions import (ActionData, build_bimodule_algebra,
                       check_bimodule_algebra, check_module_algebra,
                       composite_action, regular_actions)
@@ -129,7 +129,7 @@ class AlgebraHandle:
                 continue
             terms = iter(self._row(i))
             for j, k, c in zip(terms, terms, terms):
-                acc[k] += a * ys[j] * c
+                acc[k] += a * (ys[j] * c)
         canon = self.field.canon
         return [canon(v) for v in acc]
 
@@ -180,24 +180,26 @@ def check_handle_axioms(handle, mode=None):
 # ---------------------------------------------------------------------------
 # the twisted tensor product and the generic builders
 
-def twisted_tensor(field, a_mul, b_mul, db, twist, factor_dims, labels, unit,
+def twisted_tensor(field, a_row, b_mul, db, twist, factor_dims, labels, unit,
                    provenance):
     """A (x)_R B, with `twist(b, a')` = R(b (x) a') on the flattened basis.
 
-    `a_mul` and `b_mul` are the basis products of A and B, and `db` is
-    dim B.  The handle's rows are its only product store, and the row
-    builder here is the only evaluation of the formula.  Row i of
-    a (x) b is compiled in one pass over nonzero terms only:
+    `a_row(a)` is row a of A, {a3: {a4: c}} over the nonzero products
+    e_a e_a3 = sum c e_a4 (the row shape of `algebra_rows` and
+    `keyed_row`), `b_mul` is the basis product of B, and `db` is dim B.
+    The handle's rows are its only product store, and the row builder
+    here is the only evaluation of the formula.  Row i of a (x) b is
+    compiled in one pass over nonzero terms only:
 
     * the twist row of b, R(b (x) a') = sum c a3 (x) b3 over every a',
       as lists of (a', a3, c) grouped by b3, tabled on the first row
       with this b, so R is evaluated once per basis pair (b, a');
-    * each term times the products a a3 of A, which are kept for the
-      last a asked for (the db rows i = a db + b share them), summed
-      into one dict per b3;
+    * each term joined with row a of A, read once for the last a asked
+      for (the db rows i = a db + b share it), summed into one dict per
+      b3 keyed by (a', a4);
     * each b3 dict times every nonzero product b3 b' of B (tabled on
-      the first row), summed into one dict keyed by (j, k) and
-      canonicalised once.
+      the first row), summed into one dict keyed by (j, k), whose sorted
+      keys and canonical nonzero values are the row.
 
     A table is stored only once it is complete, so threads compiling
     rows of one handle at once read whole tables or build their own.
@@ -205,11 +207,11 @@ def twisted_tensor(field, a_mul, b_mul, db, twist, factor_dims, labels, unit,
     dim = math.prod(factor_dims)
     da = dim // db
     canon, zero = field.canon, field.zero
-    twist_rows = [None] * db    # b -> [(b3, [(a' db dim, a3, c), ...]), ...]
+    twist_rows = [None] * db    # b -> [(b3, [(a' dim, a3, c), ...]), ...]
     b_terms = None      # b3 -> [(b' dim + b5, c), ...] over the nonzero b3 b'
-    # (a, {a3: a a3}) of the last left A index, rebound whole, so a call
-    # never reads the products of another index
-    a_cache = (None, {})
+    # (a, row a of A) of the last left A index, rebound whole, so a call
+    # never reads the row of another index
+    a_cache = (None, None)
 
     def row(i):
         """Row i as [j, k, c, ...], sorted by (j, k)."""
@@ -225,25 +227,24 @@ def twisted_tensor(field, a_mul, b_mul, db, twist, factor_dims, labels, unit,
             for a2 in range(da):
                 for k, c in sv_canon(field, twist(b, a2)).items():
                     a3, b3 = divmod(k, db)
-                    by_b3.setdefault(b3, []).append((a2 * db * dim, a3, c))
+                    by_b3.setdefault(b3, []).append((a2 * dim, a3, c))
             groups = twist_rows[b] = list(by_b3.items())
-        cached, a_prods = a_cache
+        cached, products = a_cache
         if cached != a:
-            a_prods = {}
-            a_cache = (a, a_prods)
+            products = a_row(a)
+            a_cache = (a, products)
         acc = {}
         for b3, terms in groups:
             group = {}
             for at, a3, c in terms:
-                prod = a_prods.get(a3)
-                if prod is None:
-                    prod = a_prods[a3] = [(a4 * db, ca)
-                                          for a4, ca in a_mul(a, a3).items()]
-                for a4, ca in prod:
-                    key = at + a4
-                    group[key] = group.get(key, 0) + c * ca
+                prod = products.get(a3)
+                if prod:
+                    for a4, ca in prod.items():
+                        key = at + a4
+                        group[key] = group.get(key, 0) + c * ca
             expand = b_terms[b3]
             for at, c in group.items():
+                at *= db
                 for off, cb in expand:
                     key = at + off
                     acc[key] = acc.get(key, 0) + c * cb
@@ -251,11 +252,23 @@ def twisted_tensor(field, a_mul, b_mul, db, twist, factor_dims, labels, unit,
         for key in sorted(acc):
             c = canon(acc[key])
             if c != zero:
-                out += (*divmod(key, dim), c)
+                out += (key // dim, key % dim, c)
         return out
 
     return AlgebraHandle(field, factor_dims, labels, unit, None, provenance,
                          row)
+
+
+def _algebra_row(alg):
+    """Row a of `algebra_rows(alg)`, the rows grouped on the first call."""
+    rows = None
+
+    def row(a):
+        nonlocal rows
+        if rows is None:
+            rows = algebra_rows(alg)
+        return rows[a]
+    return row
 
 
 def _tensor_sum(dim_y, terms):
@@ -309,13 +322,34 @@ def right_smash_twist_inv(hopf, act):
 
 
 def diagonal_twist(hopf, act_left, act_right):
-    """R(h (x) c) = sum h1.c.S^-1(h3) (x) h2, the twist of C >< H."""
+    """R(h (x) c) = sum h1.c.S^-1(h3) (x) h2, the twist of C >< H.
+
+    The sum joins the Delta^2(h) terms, indexed by h1, with the nonzero
+    h1.c, indexed by c, so a term whose h1.c vanishes is never read.
+    Both indexes are built on the first call."""
     dh, delta2, s_inv = hopf.dim, hopf.coalgebra.delta2, hopf.antipode_inv_col
+    # (c -> {h1: h1.c}, h -> {h1: [Delta^2(h) terms with that h1]}), both
+    # sharing the dicts of the action and the terms of `delta2`
+    index = None
 
     def twist(h, c):
+        nonlocal index
+        if index is None:
+            moves = [{} for _ in range(act_left.space_dim)]
+            for (h1, x), moved in act_left.tensor.items():
+                if moved:
+                    moves[x][h1] = moved
+            legs = [{} for _ in range(dh)]
+            for g, by_h1 in enumerate(legs):
+                for term in delta2(g):
+                    by_h1.setdefault(term[0], []).append(term)
+            index = moves, legs
+        moves, legs = index
         acc = {}
-        for h1, h2, h3, w in delta2(h):
-            if moved := act_left.act_basis(h1, c):
+        moved_by, terms = moves[c], legs[h]
+        for h1 in moved_by.keys() & terms.keys():
+            moved = moved_by[h1]
+            for _, h2, h3, w in terms[h1]:
                 add_tensor(acc, act_right.act_sv(s_inv(h3), moved), {h2: w},
                            dh, 1)
         return acc
@@ -329,7 +363,7 @@ def _twisted_pair(a_alg, b_alg, twist, sep, provenance):
     labels = [f"{la}{sep}{lb}" for la in a_alg.basis_labels
               for lb in b_alg.basis_labels]
     unit = sv_tensor(a_alg.field, [a_alg.unit_sv(), b_alg.unit_sv()], dims)
-    return twisted_tensor(a_alg.field, a_alg.mul_basis, b_alg.mul_basis,
+    return twisted_tensor(a_alg.field, _algebra_row(a_alg), b_alg.mul_basis,
                           b_alg.dim, twist, dims, labels, unit, provenance)
 
 
@@ -373,8 +407,11 @@ def two_sided_crossed(a_alg, hopf, b_alg, act_left, act_right, verify=True,
     labels = [f"{la}#{lb}" for la in left.basis_labels
               for lb in b_alg.basis_labels]
     unit = sv_tensor(a_alg.field, [left.unit, b_alg.unit_sv()], [da * dh, db])
-    handle = twisted_tensor(a_alg.field, left.basis_product, b_alg.mul_basis,
-                            db, twist, (da, dh, db), labels, unit, provenance)
+    # row a of A # H is grouped afresh for each A index, not kept: a kept
+    # copy of every row would add to the peak memory of the handle
+    handle = twisted_tensor(a_alg.field, lambda a: keyed_row(left._row(a)),
+                            b_alg.mul_basis, db, twist, (da, dh, db), labels,
+                            unit, provenance)
     handle.left = left
     return handle
 
@@ -595,7 +632,7 @@ def build_xyz(hopf, which, setup=None):
     unit = sv_tensor(field, [hopf_alg.unit_sv(), hopf_alg.unit_sv(),
                              dual_alg.unit_sv(), dual_alg.unit_sv()],
                      (n, n, n, n))
-    return twisted_tensor(field, gh.mul_basis, setup.C.mul_basis, n * n,
+    return twisted_tensor(field, _algebra_row(gh), setup.C.mul_basis, n * n,
                           twist, (n, n, n, n), labels, unit, "X")
 
 

@@ -7,6 +7,7 @@ compiles only the row of its left index, and a zero product has no
 entry in the compiled rows.
 """
 
+import functools
 import random
 import resource
 import subprocess
@@ -63,8 +64,11 @@ def build(name, which):
             handle = left if which == "left_smash" else right
     finally:
         crossed.twisted_tensor = real
-    args = next(args for h, args in calls if h is handle)
-    return handle, reference_pair_fn(*args[:5])
+    field, a_row, b_mul, db, twist = next(
+        args for h, args in calls if h is handle)[:5]
+    a_row = functools.cache(a_row)
+    return handle, reference_pair_fn(
+        field, lambda a, a3: a_row(a).get(a3, {}), b_mul, db, twist)
 
 
 def reading_order(order, n, seed):

@@ -76,9 +76,12 @@ def build_with_reference(name, which):
         crossed.twisted_tensor = real
 
     def reference_of(h):
-        field, a_mul, b_mul, db, twist = calls[h][:5]
-        if isinstance(getattr(a_mul, "__self__", None), AlgebraHandle):
-            a_mul = functools.cache(reference_of(a_mul.__self__))
+        field, a_row, b_mul, db, twist = calls[h][:5]
+        if hasattr(h, "left"):
+            a_mul = functools.cache(reference_of(h.left))
+        else:
+            def a_mul(a, a3):
+                return a_row(a).get(a3, {})
         return reference_pair_fn(field, a_mul, b_mul, db, twist)
     return handle, reference_of(handle)
 
