@@ -5,9 +5,10 @@ For each entry this constructs the three four-slot product algebras,
 compiles their product rows (timed on a line of its own), certifies
 associativity exhaustively on the compiled rows (every basis triple,
 dim 256 included), and over the rationals reports the trace-form radical
-dimension of X, Y and Z.  It then builds phi, alpha and beta and
-certifies each as an algebra map exhaustively on the same rows (every
-basis pair, dim 256 included), the build untimed.  Times are
+dimension of X, Y and Z.  It then builds and times all eight maps,
+certifies phi, alpha and beta as algebra maps exhaustively on the same
+rows (every basis pair, dim 256 included), and certifies each of the
+four forward maps and its inverse as mutually inverse.  Times are
 `time.perf_counter` wall times.  The script exits 1 if a certificate
 fails, or if the radical dimensions of X, Y and Z, which are
 isomorphic, differ.
@@ -23,7 +24,8 @@ from hopfcross.algebra import trace_form_radical
 from hopfcross.catalog import catalog_named
 from hopfcross.crossed import (StandardTriple, build_xyz, check_handle_axioms,
                                materialize)
-from hopfcross.isos import ISO_SPECS, build_iso, verify_algebra_morphism
+from hopfcross.isos import (ISO_KINDS, ISO_SPECS, build_iso,
+                            verify_algebra_morphism, verify_mutually_inverse)
 from hopfcross.report import CheckMode
 
 ENTRIES = ("cyclic:2", "cyclic:3", "dual_cyclic:2", "dual_cyclic:3",
@@ -64,9 +66,15 @@ def main():
                 radical_dims.add(len(radical))
                 print(f"   {which} radical dimension over Q: {len(radical)} "
                       f"({time.perf_counter() - start:.3f}s)")
+        maps = {}
+        for kind in ISO_KINDS:
+            start = time.perf_counter()
+            maps[kind] = build_iso(kind, hopf, setup)
+            print(f"   {kind}: {' -> '.join(ISO_SPECS[kind])} built "
+                  f"({time.perf_counter() - start:.3f}s)")
         for kind in ("phi", "alpha", "beta"):
             src, dst = (handles[w] for w in ISO_SPECS[kind][:2])
-            lm = build_iso(kind, hopf, setup)
+            lm = maps[kind]
             start = time.perf_counter()
             report = verify_algebra_morphism(lm, src, dst,
                                              mode=CheckMode.exhaustive())
@@ -74,6 +82,14 @@ def main():
             status = "pass" if report.passed else "FAIL"
             print(f"   {kind}: {' -> '.join(ISO_SPECS[kind][:2])} morphism "
                   f"{status} (exhaustive, {report.checked} checks, "
+                  f"{time.perf_counter() - start:.3f}s)")
+        for kind in ("phi", "alpha", "beta", "f"):
+            start = time.perf_counter()
+            report = verify_mutually_inverse(maps[kind], maps[kind + "_inv"])
+            failed |= not report.passed
+            status = "pass" if report.passed else "FAIL"
+            print(f"   {kind}, {kind}_inv: mutually inverse {status} "
+                  f"(exhaustive, {report.checked} checks, "
                   f"{time.perf_counter() - start:.3f}s)")
         if len(radical_dims) > 1:
             failed = True

@@ -29,17 +29,13 @@ dual D and K = H (x) H^op:
 Each R is one constructor, `left_smash_twist`, `right_smash_twist` or
 `diagonal_twist` (the two-sided R carries a along the right-smash R),
 read by the builders and, with the `_inv` twists, by the module
-conditions of `bimodules`.
-
-Only the maps between X, Y and Z and X's twist use slot rules: they
-move the dual slots p and q by regular arrows, stored once as the
-K-action `StandardTriple.act_on_dual`.  A rule names how many coproduct
-legs of kappa = h (x) g in K to take (read from K's `delta` and
-`delta2`), which `StandardTriple.moves` table moves p and q by which
-leg, and which leg is kept in the K slot; `StandardTriple.place`
-evaluates one rule into a slot order.
+conditions of `bimodules`.  X's R, `x_twist`, is K # D^op's R carrying
+q past kappa = h (x) g, then D # K's R^-1 carrying p past k1; the maps
+of `isos` read the same constructors, so one mechanism moves the dual
+slots p and q for builders, conditions and maps alike.
 """
 
+import functools
 import math
 from bisect import bisect_left
 
@@ -292,12 +288,17 @@ def left_smash_twist(hopf, act):
     return twist
 
 
+def _s_inv_action(hopf, act):
+    """(h, x) -> S^-1(h) acting on e_x, memoised per (h, x)."""
+    s_inv, one = hopf.antipode_inv_col, act.field.one
+    return functools.cache(lambda h, x: act.act_sv(s_inv(h), {x: one}))
+
+
 def left_smash_twist_inv(hopf, act):
     """R^-1(a (x) h) = sum h2 (x) S^-1(h1).a, on H (x) A."""
-    delta, s_inv = hopf.coalgebra.delta, hopf.antipode_inv_col
-    one = act.field.one
+    delta, moved = hopf.coalgebra.delta, _s_inv_action(hopf, act)
     return lambda a, h: _tensor_sum(act.space_dim, (
-        ({h2: c}, act.act_sv(s_inv(h1), {a: one})) for h1, h2, c in delta(h)))
+        ({h2: c}, moved(h1, a)) for h1, h2, c in delta(h)))
 
 
 def right_smash_twist(hopf, act):
@@ -315,10 +316,9 @@ def right_smash_twist(hopf, act):
 
 def right_smash_twist_inv(hopf, act):
     """R^-1(h (x) b) = sum b.S^-1(h2) (x) h1, on B (x) H."""
-    delta, s_inv = hopf.coalgebra.delta, hopf.antipode_inv_col
-    one = act.field.one
+    delta, moved = hopf.coalgebra.delta, _s_inv_action(hopf, act)
     return lambda h, b: _tensor_sum(hopf.dim, (
-        (act.act_sv(s_inv(h2), {b: one}), {h1: c}) for h1, h2, c in delta(h)))
+        (moved(h2, b), {h1: c}) for h1, h2, c in delta(h)))
 
 
 def diagonal_twist(hopf, act_left, act_right):
@@ -439,11 +439,9 @@ class StandardTriple:
     and their tensor product C = D (x) D^op, a K-bimodule algebra.
     The arrows are stored once, as `act_on_dual`, the `composite_action`
     of the regular actions; `act_on_dual_op` is read off it at
-    S_K(kappa), and `arrow_basis` and `arrow_sv` read it.  The slot-move
-    tables are cached here and read only by the slot rules of the
-    isomorphisms and of X's twist (`place`); `isos` keeps each map
-    `isos.build_iso` has built on this triple, by kind.  Both K-actions
-    are certified as module-algebra actions on construction.
+    S_K(kappa), and `arrow_basis` and `arrow_sv` read it.  `isos` keeps
+    each map `isos.build_iso` has built on this triple, by kind.  Both
+    K-actions are certified as module-algebra actions on construction.
     """
 
     def __init__(self, hopf):
@@ -456,8 +454,6 @@ class StandardTriple:
         self.dual_op_alg = op_algebra(
             self.dual.algebra,
             labels=[f"{l}~" for l in self.dual.algebra.basis_labels])
-        self._moves = {}
-        self._rules = {}
         self.isos = {}
 
         n = self.n
@@ -510,86 +506,36 @@ class StandardTriple:
                     table[(kappa, x)] = moved
         return table
 
-    # -- slot rules ------------------------------------------------------------
 
-    def moves(self, rule):
-        """The table (kappa, x) -> sparse dual vector of one move rule.
+def x_index(n, p, kappa, q):
+    """The flat index in X's slot order (g, h, p, q); kappa = h n + g."""
+    h, g = divmod(kappa, n)
+    return ((g * n + h) * n + p) * n + q
 
-        "L" is kappa -> x <- (the left K-action on D), "R" is
-        S(h) -> x <- S^-1(g) (the right K-action on D^op), "L~" and "R~"
-        apply S_K^-1 to kappa first, and None leaves x where it is.
-        "R~" equals "L" entry for entry, since act_on_dual_op o S_K^-1 =
-        act_on_dual; it is computed on its own all the same.
-        """
-        table = self._moves.get(rule)
-        if table is None:
-            n = self.n
-            one = self.field.one
-            if rule is None:
-                table = {(kappa, x): {x: one}
-                         for kappa in range(n * n) for x in range(n)}
-            elif rule.endswith("~"):
-                act = self.act_on_dual if rule == "L~" else self.act_on_dual_op
-                table = self._precomposed(act, self.K.antipode_inv_col)
-            else:
-                act = self.act_on_dual if rule == "L" else self.act_on_dual_op
-                table = act.tensor
-            self._moves[rule] = table
-        return table
 
-    def expand(self, rule, p, kappa, q):
-        """One slot rule on basis p, kappa, q: [(coeff, p', K leg, q')].
+def x_twist(setup):
+    """X's R: (p (x) q) (x) (g (x) h) -> sum (g2 (x) h2) (x)
+    (S^-1(h1) -> p <- S(g1) (x) S(h3) -> q <- S^-1(g3)).
 
-        `rule` is (legs, p move, q move, K leg), a move being None or
-        (moves-table rule, leg).  The coproduct terms are read from K's
-        `delta` and `delta2`: legs first, coefficient last.  Terms where a
-        move vanishes are dropped.
-        """
-        resolved = self._rules.get(rule)
-        if resolved is None:
-            legs, p_move, q_move, k_leg = rule
-            p_rule, p_leg = p_move or (None, 0)
-            q_rule, q_leg = q_move or (None, 0)
-            coa, one = self.K.coalgebra, self.field.one
-            coproduct = {1: lambda k: ((k, one),), 2: coa.delta,
-                         3: coa.delta2}[legs]
-            resolved = (coproduct, self.moves(p_rule), p_leg,
-                        self.moves(q_rule), q_leg, k_leg)
-            self._rules[rule] = resolved
-        coproduct, p_table, p_leg, q_table, q_leg, k_leg = resolved
-        out = []
-        for term in coproduct(kappa):
-            pv = p_table.get((term[p_leg], p))
-            if pv:
-                qv = q_table.get((term[q_leg], q))
-                if qv:
-                    out.append((term[-1], pv, term[k_leg], qv))
-        return out
+    K # D^op's R carries q past kappa = h n + g, then D # K's R^-1
+    carries p past its leg k1; both halves are memoised."""
+    n = setup.n
+    right = functools.cache(right_smash_twist(setup.K, setup.act_on_dual_op))
+    left = functools.cache(left_smash_twist_inv(setup.K, setup.act_on_dual))
 
-    def place(self, rule, p, kappa, q, to):
-        """`expand` scattered into one flat layout, not canonicalised: the
-        term (c, p', leg, q') adds c p' (x) leg (x) q' at the slot
-        strides `to` (see `strides`), the leg read as h n + g."""
-        n = self.n
+    def twist(pq, gh):
+        p, q = divmod(pq, n)
+        g, h = divmod(gh, n)
         acc = {}
-        for c, pv, leg, qv in self.expand(rule, p, kappa, q):
-            h, g = divmod(leg, n)
-            base = h * to["h"] + g * to["g"]
-            for tp, cp in pv.items():
-                for tq, cq in qv.items():
-                    key = base + tp * to["p"] + tq * to["q"]
-                    acc[key] = acc.get(key, 0) + c * cp * cq
+        for kq, c in right(q, h * n + g).items():
+            k1, q2 = divmod(kq, n)
+            for kp, c1 in left(p, k1).items():
+                k2, p2 = divmod(kp, n)
+                key = x_index(n, p2, k2, q2)
+                acc[key] = acc.get(key, 0) + c * c1
         return acc
 
-    def strides(self, layout):
-        """Flat-index stride of each slot letter of a layout."""
-        return {s: self.n ** (len(layout) - 1 - t)
-                for t, s in enumerate(layout)}
-
-
-# X's R: (p (x) q) (x) (g (x) h) -> sum (g2 (x) h2) (x)
-#        (S^-1(h1) -> p <- S(g1) (x) S(h3) -> q <- S^-1(g3))
-X_TWIST = (3, ("L~", 0), ("R", 2), 1)
+    return twist
 
 
 def build_xyz(hopf, which, setup=None):
@@ -597,7 +543,7 @@ def build_xyz(hopf, which, setup=None):
 
     Slot orders: X on (g, h, p, q), Y on (p, (h, g), q), Z on ((p, q), (h, g)).
     Y and Z come from the generic two-sided and diagonal builders over the
-    canonical actions; X twists H^op (x) H past D (x) D^op by X_TWIST.
+    canonical actions; X twists H^op (x) H past D (x) D^op by `x_twist`.
     """
     if which not in ("X", "Y", "Z"):
         raise ValueError(f"unknown construction {which!r}")
@@ -618,13 +564,6 @@ def build_xyz(hopf, which, setup=None):
     hopf_alg = hopf.algebra
     dual_alg = setup.dual.algebra
     gh = tensor_algebra(setup.hop.algebra, hopf_alg)
-    to = setup.strides(LAYOUTS["X"])
-
-    def twist(pq, gh_index):
-        p, q = divmod(pq, n)
-        g, h = divmod(gh_index, n)
-        return setup.place(X_TWIST, p, h * n + g, q, to)
-
     hl = hopf.basis_labels
     dl = dual_alg.basis_labels
     labels = [f"{lg}*{lh}#{lp}*{lq}" for lg in hl for lh in hl
@@ -633,7 +572,7 @@ def build_xyz(hopf, which, setup=None):
                              dual_alg.unit_sv(), dual_alg.unit_sv()],
                      (n, n, n, n))
     return twisted_tensor(field, _algebra_row(gh), setup.C.mul_basis, n * n,
-                          twist, (n, n, n, n), labels, unit, "X")
+                          x_twist(setup), (n, n, n, n), labels, unit, "X")
 
 
 def smash_handles(hopf, setup=None):

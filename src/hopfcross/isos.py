@@ -7,16 +7,16 @@ fixed in `crossed`: X on (g, h, p, q), Y on (p, (h, g), q), Z on
 X to Z, and `f` is the generic two-sided-to-diagonal map instantiated on
 the canonical triple (where it coincides with alpha).
 
-Every map is one row of `ISO_SPECS`: expand the coproduct of
-kappa = h (x) g, move p and q by regular arrows, keep one leg in the K
-slot, and place the result in the target's slot order.  `beta` has its
-own row; that it equals `alpha o phi` is a verification target, not an
-assumption.  `f` has its own row too, the generic formula written with
-S_K^-1, but on the canonical triple it is alpha read twice: its "R~"
-moves table equals alpha's "L" table entry for entry (act_on_dual_op o
-S_K^-1 = act_on_dual), and the `f_inv` row is the `alpha_inv` row.  f
-against alpha becomes an independent check only once f is built by a
-generic construction for any triple (ROADMAP item 6, `generic_f`).
+Each map straightens generators that sit out of order in its source,
+and in a twisted tensor product that product is the twisting map R.  So
+a column is one twist constructor of `crossed` read at two slots, the
+third carried (`_column`), and beta_inv is X's R, `crossed.x_twist`.
+`beta` keeps its own displayed formula: that it equals `alpha o phi` is
+a verification target, not an assumption.  `f` is the generic formula,
+with S_K^-1, but on the canonical triple it equals alpha
+(act_on_dual_op o S_K^-1 = act_on_dual) and `f_inv` is `alpha_inv`; f
+becomes an independent check only once it is built by a generic
+construction for any triple (ROADMAP item 6, `generic_f`).
 
 Every certificate here runs through `report.certify`: the morphism check
 over the compiled rows of both handles, one block per left index with
@@ -24,35 +24,22 @@ the report of the per-pair stream, or by random trials; the inverse and
 composition checks exhaustively, one column of the composite at a time.
 """
 
+import functools
+
 from .algebra import keyed_rows, multiplicative_items, random_dense_vector
-from .crossed import LAYOUTS, X_TWIST, StandardTriple
+from .crossed import (StandardTriple, left_smash_twist, left_smash_twist_inv,
+                      right_smash_twist, right_smash_twist_inv, x_index,
+                      x_twist)
 from .errors import DimensionMismatchError
 from .linalg import LinearMap, sv_canon
 from .report import MORPHISM_DIM_CAP, certify, certify_exhaustive
 
 MORPHISM_TRIALS = 200
 
-# kind: (source, target, coproduct legs of kappa = h (x) g, p move, q move,
-#        leg kept in the K slot); a move is None or (moves rule, leg).
-ISO_SPECS = {
-    # X -> Y: sum (h1 -> p <- g1) # (h2 (x) g2) # q
-    "phi": ("X", "Y", 2, ("L", 0), None, 1),
-    # Y -> X: sum (g2 (x) h2) (x) (S^-1(h1) -> p <- S(g1) (x) q)
-    "phi_inv": ("Y", "X", 2, ("L~", 0), None, 1),
-    # Y -> Z: sum (p (x) (h2 -> q <- g2)) >< (h1 (x) g1)
-    "alpha": ("Y", "Z", 2, None, ("L", 1), 0),
-    # Z -> Y: sum p # (h1 (x) g1) # (S(h2) -> q <- S^-1(g2))
-    "alpha_inv": ("Z", "Y", 2, None, ("R", 1), 0),
-    # X -> Z: sum (h1 -> p <- g1 (x) h3 -> q <- g3) >< (h2 (x) g2)
-    "beta": ("X", "Z", 3, ("L", 0), ("L", 2), 1),
-    # Z -> X: beta^-1((p (x) q) >< kappa) = (1 (x) (p (x) q)) (kappa (x) 1)
-    #         in X, which is X's twist of (p (x) q) (x) kappa
-    "beta_inv": ("Z", "X", *X_TWIST),
-    # Y -> Z: f(a # k # b) = sum (a (x) b.S_K^-1(k2)) >< k1
-    "f": ("Y", "Z", 2, None, ("R~", 1), 0),
-    # Z -> Y: f^-1((a (x) b) >< k) = sum a # k1 # b.k2
-    "f_inv": ("Z", "Y", 2, None, ("R", 1), 0),
-}
+# kind: (source, target); `_column` holds the formula of each
+ISO_SPECS = {"phi": ("X", "Y"), "phi_inv": ("Y", "X"), "alpha": ("Y", "Z"),
+             "alpha_inv": ("Z", "Y"), "beta": ("X", "Z"),
+             "beta_inv": ("Z", "X"), "f": ("Y", "Z"), "f_inv": ("Z", "Y")}
 ISO_KINDS = tuple(ISO_SPECS)
 
 
@@ -73,18 +60,72 @@ def build_iso(kind, hopf, setup=None):
 
 
 def _assemble(kind, setup):
-    """Evaluate the row of `ISO_SPECS` for `kind`, column by column."""
-    src, dst, *rule = ISO_SPECS[kind]
-    rule, n, field = tuple(rule), setup.n, setup.field
-    at, to = setup.strides(LAYOUTS[src]), setup.strides(LAYOUTS[dst])
+    """The matrix of `kind`, one column per source basis (p, kappa, q),
+    kappa = h n + g, each slot order of `crossed.LAYOUTS` as an index."""
+    n, field = setup.n, setup.field
+    nn = n * n
+    index = {"X": functools.partial(x_index, n),
+             "Y": lambda p, kappa, q: (p * nn + kappa) * n + q,
+             "Z": lambda p, kappa, q: (p * n + q) * nn + kappa}
+    src, dst = ISO_SPECS[kind]
+    at, column = index[src], _column(kind, setup, index[dst])
     cols = [None] * n ** 4
-    for kappa in range(n * n):
-        h, g = divmod(kappa, n)
-        for p in range(n):
+    for p in range(n):
+        for kappa in range(nn):
             for q in range(n):
-                i = p * at["p"] + q * at["q"] + h * at["h"] + g * at["g"]
-                cols[i] = sv_canon(field, setup.place(rule, p, kappa, q, to))
+                cols[at(p, kappa, q)] = sv_canon(field, column(p, kappa, q))
     return LinearMap.from_columns(field, n ** 4, n ** 4, cols)
+
+
+def _column(kind, setup, to):
+    """column(p, kappa, q) of `kind`, keyed by `to`, the slot index of its
+    target; k1, k2, k3 are the coproduct legs of kappa in K.  The twists
+    over D are memoised per argument."""
+    n, K = setup.n, setup.K
+    nn, act, act_op = n * n, setup.act_on_dual, setup.act_on_dual_op
+    if kind == "phi":
+        # X -> Y: sum (k1 -> p) # k2 # q, D # K's R at (kappa, p)
+        twist = functools.cache(left_smash_twist(K, act))
+        return lambda p, kappa, q: {
+            to(pk // nn, pk % nn, q): c for pk, c in twist(kappa, p).items()}
+    if kind == "phi_inv":
+        # Y -> X: sum k2 (x) (S_K^-1(k1) -> p (x) q), its R^-1 at (p, kappa)
+        twist = functools.cache(left_smash_twist_inv(K, act))
+        return lambda p, kappa, q: {
+            to(kp % n, kp // n, q): c for kp, c in twist(p, kappa).items()}
+    if kind in ("alpha", "alpha_inv", "f_inv"):
+        # Z -> Y: sum p # k1 # q.k2, K # D^op's R at (q, kappa); alpha,
+        # Y -> Z: sum (p (x) k2 -> q) >< k1, is that R over `act`
+        twist = functools.cache(right_smash_twist(
+            K, act if kind == "alpha" else act_op))
+        return lambda p, kappa, q: {
+            to(p, kq // n, kq % n): c for kq, c in twist(q, kappa).items()}
+    if kind == "f":
+        # Y -> Z: sum (p (x) q.S_K^-1(k2)) >< k1, its R^-1 at (kappa, q)
+        twist = functools.cache(right_smash_twist_inv(K, act_op))
+        return lambda p, kappa, q: {
+            to(p, qk % nn, qk // nn): c for qk, c in twist(kappa, q).items()}
+    if kind == "beta_inv":
+        # Z -> X: (1 (x) (p (x) q)) (kappa (x) 1) in X, X's R
+        twist = x_twist(setup)
+        return lambda p, kappa, q: twist(p * n + q, kappa % n * n + kappa // n)
+    # X -> Z: sum (k1 -> p (x) k3 -> q) >< k2, over Delta^2(kappa); a term
+    # whose p arrow vanishes is skipped before its q arrow is read
+    delta2, arrows = K.coalgebra.delta2, act.tensor
+
+    def column(p, kappa, q):
+        acc = {}
+        for k1, k2, k3, c in delta2(kappa):
+            pv = arrows.get((k1, p))
+            qv = pv and arrows.get((k3, q))
+            if qv:
+                for p2, cp in pv.items():
+                    for q2, cq in qv.items():
+                        key = to(p2, k2, q2)
+                        acc[key] = acc.get(key, 0) + c * cp * cq
+        return acc
+
+    return column
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@ factor actions, and it equals the paper's displayed formulas.
 
 The reference below evaluates those formulas one (p, kappa, q, m_j) at a
 time: it expands the coproduct of kappa = h (x) g in K by one slot rule
-(`StandardTriple.expand`), moves p and q by regular arrows, evaluates the
-kept K leg on the coaction legs and sandwiches m(0) between the moved
-p and q.  On every example Hopf bimodule the composite must give the
+(`SlotRules.expand`, kept in test_map_twists), moves p and q by regular
+arrows, evaluates the kept K leg on the coaction legs and sandwiches
+m(0) between the moved p and q.  On every example Hopf bimodule the composite must give the
 same tensor, key for key, with the same values and value types.
 """
 
@@ -19,6 +19,7 @@ from hopfcross.bimodules import derived_action, example_bimodule
 from hopfcross.catalog import catalog_named
 from hopfcross.crossed import LAYOUTS, StandardTriple
 from hopfcross.linalg import sv_add_into, sv_canon
+from test_map_twists import SlotRules
 
 SPECS = ("cyclic:2", "cyclic:3", "dual_cyclic:3", "sweedler4", "taft:2:5")
 MODULES = (("regular", 1), ("free", 1), ("free", 2))
@@ -46,7 +47,8 @@ def reference_derived_action(module, hopf, which, setup):
     field = setup.field
     one = field.one
     layout = LAYOUTS[which]
-    at = setup.strides(layout)
+    rules = SlotRules(setup)
+    at = rules.strides(layout)
     act_p = module.left_act.act_sv if "p" in layout else _unmoved
     act_q = module.right_act.act_sv if "q" in layout else _unmoved
     legs = evaluation_action(module.left_co, module.right_co, n).act_basis
@@ -56,7 +58,7 @@ def reference_derived_action(module, hopf, which, setup):
         h, g = divmod(kappa, n)
         for p in range(n if "p" in layout else 1):
             for q in range(n if "q" in layout else 1):
-                terms = setup.expand(rule, p, kappa, q)
+                terms = rules.expand(rule, p, kappa, q)
                 actor = (h * at["h"] + g * at["g"] + p * at.get("p", 0)
                          + q * at.get("q", 0))
                 for j in range(module.space_dim):

@@ -6,8 +6,9 @@ whose products are semisimple over Q.  On Z the basis returned by
 `trace_form_radical` is compared entry for entry with a dense reference:
 every Gram entry tr(L_i L_j) summed over the terms of L_j, and the
 kernel taken by the dense Gauss-Jordan of `test_sparse_echelon.py`.
-`scripts/build_catalog_products.py` cross-checks the radicals and
-certifies phi, alpha and beta, and exits 1 when any check fails.
+`scripts/build_catalog_products.py` cross-checks the radicals,
+certifies phi, alpha and beta, builds all eight maps and certifies the
+four inverse pairs, and exits 1 when any check fails.
 """
 
 import contextlib
@@ -24,6 +25,7 @@ from hopfcross.algebra import trace_form_radical
 from hopfcross.catalog import catalog_named
 from hopfcross.crossed import StandardTriple, build_xyz, materialize
 from hopfcross.hopf_json import hopf_to_json, save_document
+from hopfcross.isos import ISO_SPECS
 from hopfcross.linalg import LinearMap
 
 from test_sparse_echelon import dense_kernel
@@ -173,3 +175,33 @@ def test_catalog_script_times_the_morphisms(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "   alpha: Y -> Z morphism FAIL (exhaustive, " in out
     assert "   beta: X -> Z morphism pass (exhaustive, 256 checks, " in out
+
+
+def test_catalog_script_builds_every_map_and_checks_the_inverses(
+        monkeypatch, capsys):
+    script = load_catalog_script()
+    monkeypatch.setattr(sys, "argv", ["build_catalog_products.py",
+                                      "--entries", "cyclic:2"])
+    assert script.main() == 0
+    out = capsys.readouterr().out
+    for kind, (src, dst) in ISO_SPECS.items():
+        assert f"   {kind}: {src} -> {dst} built (" in out
+    for kind in ("phi", "alpha", "beta", "f"):
+        assert (f"   {kind}, {kind}_inv: mutually inverse pass "
+                "(exhaustive, 32 checks, " in out)
+
+    # phi_inv with one entry moved by one is not the inverse of phi
+    real = script.build_iso
+
+    def build(kind, hopf, setup):
+        lm = real(kind, hopf, setup)
+        if kind != "phi_inv":
+            return lm
+        rows = lm.rows
+        rows[0][0] = lm.field.canon(rows[0][0] + 1)
+        return LinearMap(lm.field, lm.src_dim, lm.dst_dim, rows)
+    monkeypatch.setattr(script, "build_iso", build)
+    assert script.main() == 1
+    out = capsys.readouterr().out
+    assert "   phi, phi_inv: mutually inverse FAIL (exhaustive, " in out
+    assert "   alpha, alpha_inv: mutually inverse pass (exhaustive, " in out
