@@ -166,11 +166,12 @@ def module_algebra_items(side, hopf, alg, act):
     After the module items come, per actor h, its unit item and then
     h.(ab) = sum (h1.a)(h2.b) (read (ab).h = sum (a.h1)(b.h2) on the
     right) as one block per (h, a) in the manner of
-    `associativity_blocks`: both sides for every b at once, keyed by the
-    flattened (b, s) and read by `block_item`.  An equal block is one
-    item of count dim A and witness (h, a); a block that differs gives
-    its first failing (h, a, b), so the report is that of the per-triple
-    stream.
+    `associativity_blocks`: a `block_item` fill of both sides for every
+    b at once, keyed by the flattened (b, s).  The product rows of `alg`
+    and the action rows are read as lists of their terms, made once.  A
+    passing block is one item of count dim A, witness (h, a) and empty
+    sides; a block that differs gives its first failing (h, a, b), so
+    the report is that of the per-triple stream.
     """
     if act.side != side:
         raise ValueError(f"action is {act.side}-sided, expected {side}")
@@ -183,36 +184,40 @@ def module_algebra_items(side, hopf, alg, act):
     unit_a = alg.unit_sv()
     counit = hopf.coalgebra.counit
     axiom = f"module-algebra-{side}"
-    mul = alg.mul_basis
     acts = act.rows()
+    # prods[a][b] = [(s, c)] over e_a e_b = sum c e_s; outs[h][t] the
+    # same terms of e_h acting on m_t; seqs[h] = [(b * n, v, c)] over
+    # e_h acting on m_b = sum c m_v
+    prods = [{b: list(prod.items()) for b, prod in row.items()}
+             for row in algebra_rows(alg)]
+    outs = [{t: list(out.items()) for t, out in row.items()} for row in acts]
+    seqs = [[(b * n, v, c) for b, out in row.items() for v, c in out.items()]
+            for row in acts]
     for h in range(hopf.dim):
         yield (0, "module-algebra-unit", (h,), act.act_sv({h: one}, unit_a),
                sv_canon(field, {k: counit[h] * c for k, c in unit_a.items()}))
         delta = hopf.coalgebra.delta(h)
-        on_h = acts[h]
+        on_h = outs[h]
         for a in range(n):
-            lhs, rhs = {}, {}
-            for b in range(n):
-                at = b * n
-                for m, c in mul(a, b).items():
-                    out = on_h.get(m)
-                    if out:
-                        for s, c2 in out.items():
+            def fill(lhs, rhs, sign):
+                for b, prod in prods[a].items():
+                    at = b * n
+                    for m, c in prod:
+                        for s, c2 in on_h.get(m, ()):
                             key = at + s
                             lhs[key] = lhs.get(key, 0) + c * c2
-            for h1, h2, c in delta:
-                first = acts[h1].get(a)
-                if not first:
-                    continue
-                for u, c1 in first.items():
-                    w = c * c1
-                    for b, out in acts[h2].items():
-                        at = b * n
-                        for v, c2 in out.items():
-                            for s, c3 in mul(u, v).items():
-                                key = at + s
-                                rhs[key] = rhs.get(key, 0) + w * c2 * c3
-            yield block_item(field, axiom, (h, a), n, n, lhs, rhs)
+                for h1, h2, c in delta:
+                    for u, c1 in acts[h1].get(a, {}).items():
+                        w = sign * c * c1
+                        row_u = prods[u]
+                        for at, v, c2 in seqs[h2]:
+                            prod = row_u.get(v)
+                            if prod:
+                                w2 = w * c2
+                                for s, c3 in prod:
+                                    key = at + s
+                                    rhs[key] = rhs.get(key, 0) + w2 * c3
+            yield block_item(field, axiom, (h, a), n, n, fill)
 
 
 def check_coaction_axioms(coact, coalgebra):

@@ -232,26 +232,29 @@ def associativity_blocks(field, n, m_dim, product_row, act_row, side, axiom):
     the nonzero canonical actions of e_j on m_t, in the order of `side`
     (`ActionData.rows`); algebra associativity is the case of the left
     regular action, whose action rows are the product rows.
-    Block i builds both sides for every (j, t) at once, as canonical
-    sparse dicts keyed by the flattened (j, t, s): one side runs over
-    the nonzero terms e_i e_j = sum c e_m, then over e_m acting on m_t;
-    the other acts on m_t by e_j then e_i (left) or e_i then e_j
-    (right), joined on the middle index u with the actions of the e_j
-    (`by_u`), so it reads only pairs of nonzero terms.
+    Block i is a `block_item` fill over every (j, t) at once, keyed by
+    the flattened (j, t, s): one side runs over the nonzero terms
+    e_i e_j = sum c e_m, then over e_m acting on m_t (the action row m
+    flattened once to [(t * m_dim + s, c)]); the other acts on m_t by
+    e_j then e_i (left) or e_i then e_j (right), joined on the middle
+    index u with the actions of the e_j (`by_u`), so it reads only
+    pairs of nonzero terms.
     The keys (j, t, s) partition the block, identity (i, j, t) owning
-    the keys with that (j, t), so the two dicts are equal if and only if
-    every one of the n*m_dim identities holds: the check stays exact and
+    the keys with that (j, t), so the block passes if and only if every
+    one of the n*m_dim identities holds: the check stays exact and
     exhaustive, and a zero product e_i e_j costs nothing.
 
-    An equal block is one item of count n*m_dim and witness (i,).  In a
-    block that differs, the smallest differing key names the first
-    failing identity (i, j, t): one item of count j*m_dim + t + 1 whose
-    sides are the two dicts restricted to that (j, t), keyed by s.  So
-    the report is that of the per-triple stream.  The action rows are
-    read once, up front; product row i is read by block i.
+    A passing block is one item of count n*m_dim, witness (i,) and empty
+    sides.  In a block that differs, the smallest differing key names
+    the first failing identity (i, j, t): one item of count
+    j*m_dim + t + 1 whose sides are restricted to that (j, t), keyed by
+    s.  So the report is that of the per-triple stream.  The action rows
+    are read once, up front; product row i is read by block i.
     """
     stride = m_dim * m_dim
     acts = [act_row(m) for m in range(n)]
+    flat = [[(t * m_dim + s, c) for t, out in row.items()
+             for s, c in out.items()] for row in acts]
     # left: by_u[u] = [(flattened (j, t, 0), c)] over the nonzero
     # e_j.m_t = c m_u; right: by_u[u] = [(flattened (j, 0, 0), m_u.e_j)]
     by_u = [[] for _ in range(m_dim)]
@@ -261,47 +264,71 @@ def associativity_blocks(field, n, m_dim, product_row, act_row, side, axiom):
                 for u, c in out.items():
                     by_u[u].append(((j * m_dim + t) * m_dim, c))
             else:
-                by_u[t].append((j * stride, out))
+                by_u[t].append((j * stride, list(out.items())))
     for i in range(n):
-        left, right = {}, {}
-        for j, prod in product_row(i).items():
-            base = j * stride
-            for m, c in prod.items():
-                for t, out in acts[m].items():
-                    at = base + t * m_dim
-                    for s, c2 in out.items():
-                        key = at + s
+        prods = product_row(i)
+        row = [(t, list(out.items())) for t, out in acts[i].items()]
+
+        def fill(left, right, sign):
+            for j, prod in prods.items():
+                base = j * stride
+                for m, c in prod.items():
+                    for off, c2 in flat[m]:
+                        key = base + off
                         left[key] = left.get(key, 0) + c * c2
-        row = acts[i]
-        if side == "left":
-            for u, out in row.items():
-                for at, c in by_u[u]:
-                    for s, c2 in out.items():
-                        key = at + s
-                        right[key] = right.get(key, 0) + c * c2
-        else:
-            for t, first in row.items():
-                for u, c in first.items():
-                    for base, out in by_u[u]:
-                        at = base + t * m_dim
-                        for s, c2 in out.items():
+            if side == "left":
+                for u, out in row:
+                    for at, c in by_u[u]:
+                        w = sign * c
+                        for s, c2 in out:
                             key = at + s
-                            right[key] = right.get(key, 0) + c * c2
-        yield block_item(field, axiom, (i,), n * m_dim, m_dim, left, right,
+                            right[key] = right.get(key, 0) + w * c2
+            else:
+                for t, first in row:
+                    tm = t * m_dim
+                    for u, c in first:
+                        w = sign * c
+                        for base, out in by_u[u]:
+                            at = base + tm
+                            for s, c2 in out:
+                                key = at + s
+                                right[key] = right.get(key, 0) + w * c2
+        yield block_item(field, axiom, (i,), n * m_dim, m_dim, fill,
                          lambda jt: divmod(jt, m_dim))
 
 
-def block_item(field, axiom, witness, count, width, left, right,
+def unequal_sides(field, fill):
+    """None if the two sides that `fill(left, right, sign)` sums are
+    equal in `field`, else both sides as canonical sparse dicts.
+
+    `fill` adds the lhs terms into `left` and `sign` times the rhs terms
+    into `right`.  It runs once into one dict with sign -1, and the sides
+    are equal exactly when every value of lhs - rhs canonicalises to
+    zero (over F_p, when it is divisible by p); only unequal sides are
+    summed apart, by a second run with sign 1."""
+    diff = {}
+    fill(diff, diff, -1)
+    if not any(map(field.canon, diff.values())):
+        return None
+    left, right = {}, {}
+    fill(left, right, 1)
+    return sv_canon(field, left), sv_canon(field, right)
+
+
+def block_item(field, axiom, witness, count, width, fill,
                index=lambda q: (q,)):
-    """The item of a block of `count` identities whose two sides are
-    sparse dicts keyed by q * width + s, identity q owning the keys with
-    that q.  Equal canonical dicts give one item of count `count` and
-    witness `witness`.  Otherwise the smallest differing key names the
-    first failing identity q: one item of count q + 1, witness
+    """The item of a block of `count` identities whose two sides
+    `fill(left, right, sign)` adds into sparse dicts keyed by
+    q * width + s, identity q owning the keys with that q, the rhs
+    terms times `sign` (`unequal_sides`).  Equal sides give one item of
+    count `count`, witness `witness` and empty sides: only `certify`
+    reads them.  Otherwise the smallest differing key names the first
+    failing identity q: one item of count q + 1, witness
     `witness + index(q)` and both sides restricted to q, keyed by s."""
-    left, right = sv_canon(field, left), sv_canon(field, right)
-    if left == right:
-        return count, axiom, witness, left, right
+    sides = unequal_sides(field, fill)
+    if sides is None:
+        return count, axiom, witness, {}, {}
+    left, right = sides
     q = min(k for k in left.keys() | right.keys()
             if left.get(k) != right.get(k)) // width
     at = q * width
@@ -314,13 +341,15 @@ def multiplicative_items(field, axiom, n, src_row, images, dst_row, width):
     """Blocks of the items (1, axiom, (i, j), F(e_i e_j), F(e_i) F(e_j))
     for all i, j < n, where F(e_k) = images[k] has coordinates below
     `width`: the linear map F is multiplicative.  One `block_item` per
-    left index i, so the report is that of the per-pair stream.
+    left index i, so the report is that of the per-pair stream, and a
+    passing block carries empty sides.
 
     Rows are mappings {j: {k: c}} over the nonzero structure
     constants e_i e_j = sum c e_k (`algebra_rows`, `keyed_rows`,
     `tensor_rows`): `src_row(i)` of the source, `dst_row(a)` of the
     target.  F(e_i e_j) for every j is summed from the terms of row i of
-    the source.  F(e_i) F(e_j) for every j is summed over the terms a of
+    the source, each image read as a list of its terms, made once.
+    F(e_i) F(e_j) for every j is summed over the terms a of
     F(e_i), joining row a of the target with the transpose of the
     images, b -> [(j, coefficient of e_b in F(e_j))], built once; the
     join walks whichever side is smaller and looks the other up.  Both
@@ -330,29 +359,33 @@ def multiplicative_items(field, axiom, n, src_row, images, dst_row, width):
     for j in range(n):
         for b, c in images[j].items():
             by_b.setdefault(b, []).append((j * width, c))
+    terms = [list(image.items()) for image in images]
     for i in range(n):
-        lhs, rhs = {}, {}
-        for j, prod in src_row(i).items():
-            at = j * width
-            for k, c in prod.items():
-                for s, cs in images[k].items():
-                    key = at + s
-                    lhs[key] = lhs.get(key, 0) + c * cs
-        for a, ca in images[i].items():
-            row = dst_row(a)
-            if len(row) <= len(by_b):
-                joined = [(col, prod) for b, prod in row.items()
-                          if (col := by_b.get(b))]
-            else:
-                joined = [(col, prod) for b, col in by_b.items()
-                          if (prod := row.get(b))]
-            for col, prod in joined:
-                for s, c in prod.items():
-                    w = ca * c
-                    for at, cj in col:
+        prods = src_row(i)
+
+        def fill(lhs, rhs, sign):
+            for j, prod in prods.items():
+                at = j * width
+                for k, c in prod.items():
+                    for s, cs in terms[k]:
                         key = at + s
-                        rhs[key] = rhs.get(key, 0) + w * cj
-        yield block_item(field, axiom, (i,), n, width, lhs, rhs)
+                        lhs[key] = lhs.get(key, 0) + c * cs
+            for a, ca in terms[i]:
+                row = dst_row(a)
+                if len(row) <= len(by_b):
+                    joined = [(col, prod) for b, prod in row.items()
+                              if (col := by_b.get(b))]
+                else:
+                    joined = [(col, prod) for b, col in by_b.items()
+                              if (prod := row.get(b))]
+                ca *= sign
+                for col, prod in joined:
+                    for s, c in prod.items():
+                        w = ca * c
+                        for at, cj in col:
+                            key = at + s
+                            rhs[key] = rhs.get(key, 0) + w * cj
+        yield block_item(field, axiom, (i,), n, width, fill)
 
 
 def algebra_rows(alg):
@@ -439,26 +472,39 @@ def check_coalgebra_axioms(coa):
 
 
 def coalgebra_items(coa):
-    """Items of `check_coalgebra_axioms`, for the checks that chain it."""
-    field = coa.field
+    """Items of `check_coalgebra_axioms`, for the checks that chain it:
+    per basis element, coassociativity, keyed (a, b, c) in H (x) H (x) H,
+    and the two counit laws.  Each is summed as one signed difference
+    (`unequal_sides`), so a passing item carries empty sides."""
+    field, counit = coa.field, coa.counit
     for i in range(coa.dim):
-        lhs, rhs = {}, {}
-        for j, k, c in coa.delta(i):
-            for a, b, c2 in coa.delta(j):
-                key = (a, b, k)
-                lhs[key] = lhs.get(key, 0) + c * c2
-            for a, b, c2 in coa.delta(k):
-                key = (j, a, b)
-                rhs[key] = rhs.get(key, 0) + c * c2
-        yield (0, "coassociativity", (i,), sv_canon(field, lhs),
-               sv_canon(field, rhs))
-        left_counit, right_counit = {}, {}
-        for j, k, c in coa.delta(i):
-            left_counit[k] = left_counit.get(k, 0) + c * coa.counit[j]
-            right_counit[j] = right_counit.get(j, 0) + c * coa.counit[k]
-        target = {i: field.one}
-        yield 0, "counit-left", (i,), sv_canon(field, left_counit), target
-        yield 1, "counit-right", (i,), sv_canon(field, right_counit), target
+        delta = coa.delta(i)
+
+        def coassociativity(lhs, rhs, sign):
+            for j, k, c in delta:
+                for a, b, c2 in coa.delta(j):
+                    key = (a, b, k)
+                    lhs[key] = lhs.get(key, 0) + c * c2
+                w = sign * c
+                for a, b, c2 in coa.delta(k):
+                    key = (j, a, b)
+                    rhs[key] = rhs.get(key, 0) + w * c2
+
+        def counit_left(lhs, rhs, sign):
+            for j, k, c in delta:
+                lhs[k] = lhs.get(k, 0) + c * counit[j]
+            rhs[i] = rhs.get(i, 0) + sign * field.one
+
+        def counit_right(lhs, rhs, sign):
+            for j, k, c in delta:
+                lhs[j] = lhs.get(j, 0) + c * counit[k]
+            rhs[i] = rhs.get(i, 0) + sign * field.one
+
+        for count, axiom, fill in ((0, "coassociativity", coassociativity),
+                                   (0, "counit-left", counit_left),
+                                   (1, "counit-right", counit_right)):
+            yield (count, axiom, (i,),
+                   *(unequal_sides(field, fill) or ({}, {})))
 
 
 def check_hopf_axioms(hopf, mode=None):
