@@ -303,12 +303,16 @@ def unequal_sides(field, fill):
 
     `fill` adds the lhs terms into `left` and `sign` times the rhs terms
     into `right`.  It runs once into one dict with sign -1, and the sides
-    are equal exactly when every value of lhs - rhs canonicalises to
-    zero (over F_p, when it is divisible by p); only unequal sides are
-    summed apart, by a second run with sign 1."""
+    are equal exactly when every value of lhs - rhs is zero in `field`.
+    The zero test runs in C and is exact by characteristic: over Q a
+    value is zero as it stands (`canon` only turns an integral Fraction
+    into an int, which never changes whether it is zero), and over F_p
+    when it is divisible by p.  Only unequal sides are summed apart, by
+    a second run with sign 1."""
     diff = {}
     fill(diff, diff, -1)
-    if not any(map(field.canon, diff.values())):
+    p = field.characteristic
+    if not any(map(p.__rmod__, diff.values()) if p else diff.values()):
         return None
     left, right = {}, {}
     fill(left, right, 1)
@@ -546,15 +550,15 @@ def _hopf_items(hopf):
                    field.canon(coa.counit[i] * coa.counit[j]))
         yield count - stop, axiom, witness, lhs, rhs
 
-    # Convolution identities for the antipode.
+    # Convolution identities for the antipode, over its n columns, each
+    # read off the dense matrix once.
+    s_cols = [hopf.antipode_col(j) for j in range(n)]
     for i in range(n):
         left_acc, right_acc = {}, {}
         for j, k, c in coa.delta(i):
-            s_j = hopf.antipode_col(j)
-            for t, ct in s_j.items():
+            for t, ct in s_cols[j].items():
                 sv_add_into(left_acc, alg.mul_basis(t, k), c * ct)
-            s_k = hopf.antipode_col(k)
-            for t, ct in s_k.items():
+            for t, ct in s_cols[k].items():
                 sv_add_into(right_acc, alg.mul_basis(j, t), c * ct)
         target = sv_canon(field, {u: coa.counit[i] * cu for u, cu in unit.items()})
         yield 0, "antipode-left", (i,), sv_canon(field, left_acc), target

@@ -25,8 +25,8 @@ from .actions import (ActionData, CoactionData, bicomodule_to_module,
                       coaction_items, coherence_items, commute_items,
                       composite_action, evaluation_action, exchange_items,
                       module_items)
-from .algebra import (associativity_blocks, dual_hopf, keyed_rows,
-                      op_algebra, random_dense_vector)
+from .algebra import (associativity_blocks, dual_hopf, op_algebra,
+                      random_dense_vector)
 from .crossed import (LAYOUTS, StandardTriple, diagonal_crossed,
                       diagonal_twist, left_smash_twist, left_smash_twist_inv,
                       right_smash_twist, right_smash_twist_inv,
@@ -224,7 +224,7 @@ def check_module_over_handle(handle, act, mode=None):
 
     def exhaustive():
         return associativity_blocks(field, handle.dim, act.space_dim,
-                                    keyed_rows(handle._row),
+                                    handle.keyed_row,
                                     act.rows().__getitem__, "left",
                                     "module-assoc")
 

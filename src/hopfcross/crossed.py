@@ -63,8 +63,16 @@ class AlgebraHandle:
     `pair_fn(i, j)` over every j.  A handle that is built but not used
     holds O(dim) slots.  `basis_product` finds its j in row i by binary
     search, `product` walks the rows of the support of x, and
-    `product_dense`, the exhaustive certificates and `materialize` read
-    rows too.  `materialized` is filled by `materialize`.
+    `product_dense` and `materialize` read rows too.  `materialized` is
+    filled by `materialize`.
+
+    `keyed_row(i)` is row i keyed as {j: {k: c}} (`algebra.keyed_rows`),
+    the row shape the exhaustive certificates read: the axioms, module
+    associativity and both sides of every morphism certificate.  It is
+    made from `_row(i)` once per row and kept, so the certificates on one
+    handle key each row once, not once per certificate; only a whole row
+    is stored, so threads reading it see whole rows.  The random trials
+    never key a row.
     """
 
     def __init__(self, field, factor_dims, basis_labels, unit_sv, pair_fn,
@@ -79,6 +87,7 @@ class AlgebraHandle:
         self._pair_fn = pair_fn
         self._row_fn = row_fn
         self._rows = [None] * dim
+        self.keyed_row = keyed_rows(self._row)
 
     def _row(self, i):
         """Row i as [j, k, c, ...] over every nonzero e_i e_j = sum c e_k,
@@ -170,7 +179,7 @@ def check_handle_axioms(handle, mode=None):
     """Unit law and associativity through the compiled rows."""
     return check_unit_and_associativity(
         handle.field, handle.dim, handle.unit, handle.unit_dense(),
-        lambda: keyed_rows(handle._row), handle.product_dense, mode)
+        lambda: handle.keyed_row, handle.product_dense, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ composition checks exhaustively, one column of the composite at a time.
 
 import functools
 
-from .algebra import keyed_rows, multiplicative_items, random_dense_vector
+from .algebra import multiplicative_items, random_dense_vector
 from .crossed import (StandardTriple, left_smash_twist, left_smash_twist_inv,
                       right_smash_twist, right_smash_twist_inv, x_index,
                       x_twist)
@@ -139,8 +139,9 @@ def verify_algebra_morphism(lm, src, dst, mode=None, seed=0,
     81, else `trials` seeded random exact vector pairs; both modes read
     the compiled rows of `src` and `dst`, the one product store of a
     handle.  The exhaustive check is `multiplicative_items` over the
-    rows (`AlgebraHandle._row`): one block per left index, the report
-    of the per-pair stream, reading only the nonzero basis products.
+    keyed rows of both handles (`AlgebraHandle.keyed_row`, made once per
+    handle): one block per left index, the report of the per-pair
+    stream, reading only the nonzero basis products.
     """
     if lm.src_dim != src.dim or lm.dst_dim != dst.dim:
         raise DimensionMismatchError("map does not match the two algebras")
@@ -148,8 +149,8 @@ def verify_algebra_morphism(lm, src, dst, mode=None, seed=0,
     def exhaustive():
         return multiplicative_items(
             src.field, "morphism-multiplicative", src.dim,
-            keyed_rows(src._row), [lm.col_sv(k) for k in range(src.dim)],
-            keyed_rows(dst._row), dst.dim)
+            src.keyed_row, [lm.col_sv(k) for k in range(src.dim)],
+            dst.keyed_row, dst.dim)
 
     def trial(rng, t):
         x, y = (random_dense_vector(src.field, rng, src.dim) for _ in range(2))

@@ -151,16 +151,15 @@ class LinearMap:
             yield row
 
     def col_sv(self, j):
-        flat = self._cols[j]
-        return {flat[t]: flat[t + 1] for t in range(0, len(flat), 2)}
+        it = iter(self._cols[j])
+        return dict(zip(it, it))
 
     def apply_sv(self, v):
         acc = {}
         for j, x in v.items():
-            flat = self._cols[j]
-            for t in range(0, len(flat), 2):
-                r = flat[t]
-                acc[r] = acc.get(r, 0) + x * flat[t + 1]
+            it = iter(self._cols[j])
+            for r, c in zip(it, it):
+                acc[r] = acc.get(r, 0) + x * c
         return sv_canon(self.field, acc)
 
     def apply_dense(self, xs):
