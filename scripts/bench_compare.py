@@ -11,7 +11,9 @@ count).  Both copies are byte-compiled first, so that neither side's
 `peak_rss_mb` includes compiling the package.  Prints, per end-to-end
 metric, both medians, the base's quartiles and the change's wins, and
 last the line count of `src/hopfcross/*.py` on each side, counted in
-those copies.
+those copies.  To stderr it writes, per job, the base -> change median
+over the pairs of the job medians each run prints (its `job ...: median`
+lines), so a move in `wall_s` can be traced to the jobs that made it.
 
 With `--trace-seed N` it then runs `--trace 1` TRACED_RUNS times per
 side with seed N, in alternating order, and prints each per-layer
@@ -26,6 +28,7 @@ import argparse
 import glob
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -35,6 +38,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MOVED = 0.05
 TRACED_RUNS = 3      # a median of three traced runs per side
 STDERR_TAIL = 20     # lines of stderr shown for a run without a result
+JOB_LINE = re.compile(r"\s*job (\S+): median (\S+) s scaled")
 
 
 def git(*args, env=None):
@@ -53,6 +57,13 @@ def working_tree():
 def run_once(side, tree, args, seed, trace=0):
     """Metrics of one `perfbench/run.py` run of `tree` (see `metrics_of`),
     and the `src_lines` of the copy it ran in."""
+    out, lines = run_copy(tree, args, seed, trace)
+    return metrics_of(side, tree, seed, out), lines
+
+
+def run_copy(tree, args, seed, trace):
+    """The finished `perfbench/run.py` run of `tree` in a fresh copy, and
+    the `src_lines` of that copy."""
     with tempfile.TemporaryDirectory() as copy:
         archive = subprocess.run(["git", "archive", tree], cwd=ROOT,
                                  check=True, capture_output=True).stdout
@@ -65,7 +76,24 @@ def run_once(side, tree, args, seed, trace=0):
              "--trace", str(trace)], cwd=copy, capture_output=True,
             text=True)
         lines = src_lines(copy)
-    return metrics_of(side, tree, seed, out), lines
+    return out, lines
+
+
+def job_medians(stdout):
+    """Each job's scaled median, by label, from the `job ...: median`
+    lines of one run's stdout."""
+    return {m[1]: float(m[2])
+            for m in map(JOB_LINE.match, stdout.splitlines()) if m}
+
+
+def compare_jobs(jobs):
+    """Writes to stderr, per job both sides ran, its base -> change median
+    over the runs of each side (`medians`)."""
+    base, change = medians(jobs["base"]), medians(jobs["change"])
+    for label in sorted(base.keys() & change.keys()):
+        mb, mc = base[label], change[label]
+        print(f"job {label}: {mb:.4g} -> {mc:.4g} ({(mc - mb) / mb:+.1%})",
+              file=sys.stderr, flush=True)
 
 
 def src_lines(root):
@@ -180,17 +208,21 @@ def main():
     sides = {"base": git("rev-parse", f"{args.base}^{{tree}}"),
              "change": working_tree()}
     runs = {"base": [], "change": []}
+    jobs = {"base": [], "change": []}
     lines = {}
     for k in range(args.pairs):
         for side in order(k):
-            metrics, lines[side] = run_once(side, sides[side], args,
-                                            args.seed + k)
-            runs[side].append(metrics)
+            seed = args.seed + k
+            out, lines[side] = run_copy(sides[side], args, seed, 0)
+            runs[side].append(metrics_of(side, sides[side], seed, out))
+            jobs[side].append(job_medians(out.stdout))
         print(f"pair {k + 1}/{args.pairs}: " + ", ".join(
             f"{s} wall_s {runs[s][-1]['wall_s']:.4g}" for s in order(k)),
             flush=True)
     if args.pairs >= 2:
         compare_ends(runs, args.pairs)
+    if args.pairs >= 1:
+        compare_jobs(jobs)
     if args.trace_seed is not None:
         lines = compare_layers(sides, args)
     if lines:

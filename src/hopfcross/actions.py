@@ -14,7 +14,7 @@ their coalgebra legs by the dual basis, so "evaluate the leg at a basis
 element of H" is coefficient extraction.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from itertools import chain
 
 from .algebra import (algebra_rows, associativity_blocks, block_item,
@@ -32,6 +32,8 @@ class ActionData:
     space_dim: int
     side: str           # "left" | "right"
     tensor: dict        # (actor i, src j) -> {dst k: c}
+    # the memoised twisting maps of `crossed` that read this action
+    twists: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.side not in ("left", "right"):

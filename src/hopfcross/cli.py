@@ -9,6 +9,7 @@ across runs with the same arguments.
 
 import argparse
 import hashlib
+import os
 import sys
 
 from .algebra import (check_algebra_axioms, check_hopf_axioms, dual_hopf,
@@ -37,6 +38,11 @@ DEFAULT_CAP = 64
 # 8.2 s and sweedler4 free:16 22 s (cyclic:2 free:2048: 15 s).
 MAX_MODULE_INDEX = 1 << 16
 
+# Largest N of --mode random:N: at the bound, `build --construction X` on
+# sweedler4 (product dim 256) takes 11.5 s and `iso --kind beta` 6.3 s;
+# a trial's cost grows with the product dim.
+MAX_TRIALS = 1000
+
 
 def _parse_mode(text, seed):
     """--mode as a CheckMode; without one, the mode `certify` picks by
@@ -49,12 +55,33 @@ def _parse_mode(text, seed):
         return CheckMode.random(seed=seed)
     if text.startswith("random:"):
         try:
-            return CheckMode.random(trials=int(text.split(":", 1)[1]),
+            mode = CheckMode.random(trials=int(text.split(":", 1)[1]),
                                     seed=seed)
         except ValueError:
             pass
+        else:
+            if mode.trials > MAX_TRIALS:
+                raise FormatError(f"bad --mode {text!r}: at most "
+                                  f"{MAX_TRIALS} random trials")
+            return mode
     raise FormatError(f"bad mode {text!r}, want exhaustive or random:N "
                       f"with N >= 1")
+
+
+def _check_out_dir(path):
+    """Refuse an --out path whose directory does not exist, before any
+    certificate runs."""
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise FormatError(f"cannot write {path!r}: no such directory")
+
+
+def _write(path, save, *args):
+    """save(path, *args); an OS error while writing is an input error."""
+    try:
+        save(path, *args)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path!r}: "
+                          f"{exc.strerror or exc}") from None
 
 
 def _parse_field(text):
@@ -126,9 +153,9 @@ def _check_input(hopf, seed):
 
 
 def cmd_check(args):
+    mode = _parse_mode(args.mode, args.seed)
     doc = load_document(args.file)
     field = doc.field
-    mode = _parse_mode(args.mode, args.seed)
     _emit(f"file: {args.file}")
     _emit(f"kind: {doc.kind}")
     _emit(f"field: {field}")
@@ -186,9 +213,10 @@ def _build_handle(construction, hopf, setup):
 
 
 def cmd_build(args):
+    hmode = _parse_mode(args.mode, args.seed)
+    _check_out_dir(args.out)
     hopf = _load_hopf(args.input, "build")
     field = hopf.field
-    hmode = _parse_mode(args.mode, args.seed)
     _check_input(hopf, args.seed)
     setup = StandardTriple(hopf)
     handle = _build_handle(args.construction, hopf, setup)
@@ -203,7 +231,7 @@ def cmd_build(args):
     if args.out:
         if handle.dim <= args.materialize_cap:
             alg = materialize(handle, cap=args.materialize_cap)
-            save_document(args.out, algebra_to_json(alg))
+            _write(args.out, save_document, algebra_to_json(alg))
             _emit(f"materialized: wrote {args.out}")
         else:
             with open(args.input, "rb") as fh:
@@ -215,16 +243,17 @@ def cmd_build(args):
                 "field": field_to_json(field),
                 "factor_dims": list(handle.factor_dims),
             }
-            save_document(args.out, descriptor)
+            _write(args.out, save_document, descriptor)
             _emit(f"descriptor: wrote {args.out} "
                   f"(dim {handle.dim} exceeds cap {args.materialize_cap})")
     return 0
 
 
 def cmd_iso(args):
+    vmode = _parse_mode(args.mode, args.seed)
+    _check_out_dir(args.out)
     hopf = _load_hopf(args.input, "iso")
     field = hopf.field
-    vmode = _parse_mode(args.mode, args.seed)
     _check_input(hopf, args.seed)
     setup = StandardTriple(hopf)
     src_name, dst_name = ISO_SPECS[args.kind][:2]
@@ -251,9 +280,8 @@ def cmd_iso(args):
             "src_dim": forward.src_dim,
             "dst_dim": forward.dst_dim,
         }
-        save_document_by_rows(args.out, head, "matrix",
-                              ([field.fmt(c) for c in row]
-                               for row in forward.iter_rows()))
+        _write(args.out, save_document_by_rows, head, "matrix",
+               ([field.fmt(c) for c in row] for row in forward.iter_rows()))
         _emit(f"matrix: wrote {args.out}")
     return 0
 

@@ -21,7 +21,7 @@ and the dedicated four-slot algebras built from a Hopf algebra H with
 dual D and K = H (x) H^op:
 
 * Y = D # K # D^op on (p, h, g, q)-slots, via the two-sided builder;
-* Z = (D (x) D^op) >< K on (p, q, h, g)-slots, via the diagonal builder;
+* Z = (D (x) D^op) >< K on (p, q, h, g)-slots, the diagonal product;
 * X = (H^op (x) H) (x)_R (D (x) D^op) on (g, h, p, q)-slots, whose R
   straightens ((1(x)1)(x)(p(x)q)) ((g(x)h)(x)(1(x)1)) to
   sum (g2 (x) h2) (x) (S^-1(h1)->p<-S(g1) (x) S(h3)->q<-S^-1(g3)).
@@ -30,9 +30,14 @@ Each R is one constructor, `left_smash_twist`, `right_smash_twist` or
 `diagonal_twist` (the two-sided R carries a along the right-smash R),
 read by the builders and, with the `_inv` twists, by the module
 conditions of `bimodules`.  X's R, `x_twist`, is K # D^op's R carrying
-q past kappa = h (x) g, then D # K's R^-1 carrying p past k1; the maps
-of `isos` read the same constructors, so one mechanism moves the dual
-slots p and q for builders, conditions and maps alike.
+q past kappa = h (x) g, then D # K's R^-1 carrying p past k1; Z's R,
+`z_twist`, is D # K's R carrying p past kappa, then K # D^op's R^-1
+carrying q past k2.  The maps of `isos` read the same constructors, so
+one mechanism moves the dual slots p and q for builders, conditions and
+maps alike.  Each constructor returns one closure per (H, action),
+memoised per argument and kept on the action it reads, and the two
+composites are kept on their `StandardTriple`: every reader of one
+triple shares one evaluation of each R per argument.
 """
 
 import functools
@@ -284,6 +289,30 @@ def _tensor_sum(dim_y, terms):
     return acc
 
 
+def _kept(holder):
+    """A decorator: the closure a twist constructor makes, memoised per
+    argument, made once and kept in the `twists` of the constructor's
+    argument at position `holder` (the action it reads, or the triple).
+
+    The key matches the other arguments by identity, and the entry holds
+    them, so their ids are not reused while it is kept.  A value is
+    stored whole and shared by every reader, which must not change it.
+    The undecorated constructor is read from `__wrapped__` when a twist
+    is made, so a test can count the evaluations under the memo."""
+    def decorate(make):
+        @functools.wraps(make)
+        def constructor(*args):
+            others = args[:holder] + args[holder + 1:]
+            key, kept = (constructor, *map(id, others)), args[holder].twists
+            if key not in kept:
+                kept[key] = others, functools.cache(
+                    constructor.__wrapped__(*args))
+            return kept[key][1]
+        return constructor
+    return decorate
+
+
+@_kept(1)
 def left_smash_twist(hopf, act):
     """R(h (x) a) = sum h1.a (x) h2, the twist of A # H."""
     dh, delta = hopf.dim, hopf.coalgebra.delta
@@ -303,6 +332,7 @@ def _s_inv_action(hopf, act):
     return functools.cache(lambda h, x: act.act_sv(s_inv(h), {x: one}))
 
 
+@_kept(1)
 def left_smash_twist_inv(hopf, act):
     """R^-1(a (x) h) = sum h2 (x) S^-1(h1).a, on H (x) A."""
     delta, moved = hopf.coalgebra.delta, _s_inv_action(hopf, act)
@@ -310,6 +340,7 @@ def left_smash_twist_inv(hopf, act):
         ({h2: c}, moved(h1, a)) for h1, h2, c in delta(h)))
 
 
+@_kept(1)
 def right_smash_twist(hopf, act):
     """R(b (x) h) = sum h1 (x) b.h2, the twist of H # B."""
     db, delta = act.space_dim, hopf.coalgebra.delta
@@ -323,6 +354,7 @@ def right_smash_twist(hopf, act):
     return twist
 
 
+@_kept(1)
 def right_smash_twist_inv(hopf, act):
     """R^-1(h (x) b) = sum b.S^-1(h2) (x) h1, on B (x) H."""
     delta, moved = hopf.coalgebra.delta, _s_inv_action(hopf, act)
@@ -330,8 +362,10 @@ def right_smash_twist_inv(hopf, act):
         (moved(h2, b), {h1: c}) for h1, h2, c in delta(h)))
 
 
+@_kept(1)
 def diagonal_twist(hopf, act_left, act_right):
-    """R(h (x) c) = sum h1.c.S^-1(h3) (x) h2, the twist of C >< H.
+    """R(h (x) c) = sum h1.c.S^-1(h3) (x) h2, the twist of C >< H, kept
+    on `act_left`.
 
     The sum joins the Delta^2(h) terms, indexed by h1, with the nonzero
     h1.c, indexed by c, so a term whose h1.c vanishes is never read.
@@ -449,7 +483,8 @@ class StandardTriple:
     The arrows are stored once, as `act_on_dual`, the `composite_action`
     of the regular actions; `act_on_dual_op` is read off it at
     S_K(kappa), and `arrow_basis` and `arrow_sv` read it.  `isos` keeps
-    each map `isos.build_iso` has built on this triple, by kind.  Both
+    each map `isos.build_iso` has built on this triple, by kind, and
+    `twists` keeps X's and Z's R, `x_twist` and `z_twist`.  Both
     K-actions are certified as module-algebra actions on construction.
     """
 
@@ -464,6 +499,7 @@ class StandardTriple:
             self.dual.algebra,
             labels=[f"{l}~" for l in self.dual.algebra.basis_labels])
         self.isos = {}
+        self.twists = {}
 
         n = self.n
         # e_u -> f <- e_v, the right arrows read as a left H^op-action
@@ -522,15 +558,16 @@ def x_index(n, p, kappa, q):
     return ((g * n + h) * n + p) * n + q
 
 
+@_kept(0)
 def x_twist(setup):
     """X's R: (p (x) q) (x) (g (x) h) -> sum (g2 (x) h2) (x)
     (S^-1(h1) -> p <- S(g1) (x) S(h3) -> q <- S^-1(g3)).
 
     K # D^op's R carries q past kappa = h n + g, then D # K's R^-1
-    carries p past its leg k1; both halves are memoised."""
+    carries p past its leg k1."""
     n = setup.n
-    right = functools.cache(right_smash_twist(setup.K, setup.act_on_dual_op))
-    left = functools.cache(left_smash_twist_inv(setup.K, setup.act_on_dual))
+    right = right_smash_twist(setup.K, setup.act_on_dual_op)
+    left = left_smash_twist_inv(setup.K, setup.act_on_dual)
 
     def twist(pq, gh):
         p, q = divmod(pq, n)
@@ -547,12 +584,39 @@ def x_twist(setup):
     return twist
 
 
+@_kept(0)
+def z_twist(setup):
+    """Z's R: kappa (x) (p (x) q) -> sum (k1 -> p (x) q <- S_K^-1(k3)) (x) k2,
+    the `diagonal_twist` of the triple's C >< K as a composite.
+
+    D # K's R carries p past kappa, then K # D^op's R^-1 carries q past
+    its leg k2; by coassociativity that is the diagonal R."""
+    n = setup.n
+    nn = n * n
+    left = left_smash_twist(setup.K, setup.act_on_dual)
+    right = right_smash_twist_inv(setup.K, setup.act_on_dual_op)
+
+    def twist(kappa, pq):
+        p, q = divmod(pq, n)
+        acc = {}
+        for pk, c in left(kappa, p).items():
+            p2, k = divmod(pk, nn)
+            for qk, c1 in right(k, q).items():
+                q2, k2 = divmod(qk, nn)
+                key = (p2 * n + q2) * nn + k2
+                acc[key] = acc.get(key, 0) + c * c1
+        return acc
+
+    return twist
+
+
 def build_xyz(hopf, which, setup=None):
     """The three four-slot product algebras attached to H; dim = (dim H)^4.
 
     Slot orders: X on (g, h, p, q), Y on (p, (h, g), q), Z on ((p, q), (h, g)).
-    Y and Z come from the generic two-sided and diagonal builders over the
-    canonical actions; X twists H^op (x) H past D (x) D^op by `x_twist`.
+    Y comes from the generic two-sided builder over the canonical actions,
+    Z is C >< K twisted by `z_twist`, and X twists H^op (x) H past
+    D (x) D^op by `x_twist`.
     """
     if which not in ("X", "Y", "Z"):
         raise ValueError(f"unknown construction {which!r}")
@@ -564,9 +628,8 @@ def build_xyz(hopf, which, setup=None):
                                  setup.act_on_dual_op, verify=False,
                                  provenance="Y")
     if which == "Z":
-        return diagonal_crossed(setup.C, setup.K, setup.act_left_C,
-                                setup.act_right_C, verify=False,
-                                provenance="Z")
+        return _twisted_pair(setup.C, setup.K.algebra, z_twist(setup), "><",
+                             "Z")
 
     n = setup.n
     field = setup.field

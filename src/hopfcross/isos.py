@@ -10,7 +10,11 @@ the canonical triple (where it coincides with alpha).
 Each map straightens generators that sit out of order in its source,
 and in a twisted tensor product that product is the twisting map R.  So
 a column is one twist constructor of `crossed` read at two slots, the
-third carried (`_column`), and beta_inv is X's R, `crossed.x_twist`.
+third carried (`_reads`), and beta_inv is X's R, `crossed.x_twist`.
+The twists are the closures kept on the action they read (or, for X's
+R, on the triple), so the maps, the row builders and the module
+conditions of one triple evaluate each R once per argument, and a map
+reads each value once for the n columns of its carried slot.
 `beta` keeps its own displayed formula: that it equals `alpha o phi` is
 a verification target, not an assumption.  `f` is the generic formula,
 with S_K^-1, but on the canonical triple it equals alpha
@@ -36,7 +40,7 @@ from .report import MORPHISM_DIM_CAP, certify, certify_exhaustive
 
 MORPHISM_TRIALS = 200
 
-# kind: (source, target); `_column` holds the formula of each
+# kind: (source, target); `_reads` holds the formula of each
 ISO_SPECS = {"phi": ("X", "Y"), "phi_inv": ("Y", "X"), "alpha": ("Y", "Z"),
              "alpha_inv": ("Z", "Y"), "beta": ("X", "Z"),
              "beta_inv": ("Z", "X"), "f": ("Y", "Z"), "f_inv": ("Z", "Y")}
@@ -61,56 +65,80 @@ def build_iso(kind, hopf, setup=None):
 
 def _assemble(kind, setup):
     """The matrix of `kind`, one column per source basis (p, kappa, q),
-    kappa = h n + g, each slot order of `crossed.LAYOUTS` as an index."""
+    kappa = h n + g, each slot order of `crossed.LAYOUTS` as an index.
+
+    A map read off a twist reads each value of R once, at its two slots
+    (`_reads`): canonical and sorted once, the value is the column with
+    the carried slot at 0, and the other n - 1 columns of that slot are
+    it shifted by the slot's stride in both layouts."""
     n, field = setup.n, setup.field
     nn = n * n
     index = {"X": functools.partial(x_index, n),
              "Y": lambda p, kappa, q: (p * nn + kappa) * n + q,
              "Z": lambda p, kappa, q: (p * n + q) * nn + kappa}
     src, dst = ISO_SPECS[kind]
-    at, column = index[src], _column(kind, setup, index[dst])
+    at, to = index[src], index[dst]
+    reads, target, carried = _reads(kind, setup, at, to)
+    src_step, dst_step = (f(*carried) - f(0, 0, 0) for f in (at, to))
+    shifts = range(1, n if any(carried) else 1)
     cols = [None] * n ** 4
-    for p in range(n):
-        for kappa in range(nn):
-            for q in range(n):
-                cols[at(p, kappa, q)] = sv_canon(field, column(p, kappa, q))
-    return LinearMap.from_columns(field, n ** 4, n ** 4, cols)
+    for j, sv in reads:
+        sv = sv_canon(field, sv)
+        if target is not None:
+            sv = {target(k): c for k, c in sv.items()}
+        rows = sorted(sv)
+        cols[j] = [x for r in rows for x in (r, sv[r])]
+        for t in shifts:
+            off = t * dst_step
+            cols[j + t * src_step] = [x for r in rows
+                                      for x in (r + off, sv[r])]
+    return LinearMap.from_flat_columns(field, n ** 4, n ** 4, cols)
 
 
-def _column(kind, setup, to):
-    """column(p, kappa, q) of `kind`, keyed by `to`, the slot index of its
-    target; k1, k2, k3 are the coproduct legs of kappa in K.  The twists
-    over D are memoised per argument."""
+def _reads(kind, setup, at, to):
+    """(reads, target, carried) of `kind`: `reads` yields (j, sv), column j
+    of the map with the carried slot at 0 and each key k of sv an entry
+    at row target(k), or at row k when `target` is None; `carried` is
+    that slot as a unit (p, kappa, q), or zero when no slot is carried.
+    A map read off a twist yields R(x (x) y) once per argument pair; k1,
+    k2, k3 are the coproduct legs of kappa in K."""
     n, K = setup.n, setup.K
     nn, act, act_op = n * n, setup.act_on_dual, setup.act_on_dual_op
     if kind == "phi":
         # X -> Y: sum (k1 -> p) # k2 # q, D # K's R at (kappa, p)
-        twist = functools.cache(left_smash_twist(K, act))
-        return lambda p, kappa, q: {
-            to(pk // nn, pk % nn, q): c for pk, c in twist(kappa, p).items()}
+        twist = left_smash_twist(K, act)
+        return (((at(p, kappa, 0), twist(kappa, p))
+                 for kappa in range(nn) for p in range(n)),
+                lambda pk: to(pk // nn, pk % nn, 0), (0, 0, 1))
     if kind == "phi_inv":
         # Y -> X: sum k2 (x) (S_K^-1(k1) -> p (x) q), its R^-1 at (p, kappa)
-        twist = functools.cache(left_smash_twist_inv(K, act))
-        return lambda p, kappa, q: {
-            to(kp % n, kp // n, q): c for kp, c in twist(p, kappa).items()}
+        twist = left_smash_twist_inv(K, act)
+        return (((at(p, kappa, 0), twist(p, kappa))
+                 for p in range(n) for kappa in range(nn)),
+                lambda kp: to(kp % n, kp // n, 0), (0, 0, 1))
     if kind in ("alpha", "alpha_inv", "f_inv"):
         # Z -> Y: sum p # k1 # q.k2, K # D^op's R at (q, kappa); alpha,
         # Y -> Z: sum (p (x) k2 -> q) >< k1, is that R over `act`
-        twist = functools.cache(right_smash_twist(
-            K, act if kind == "alpha" else act_op))
-        return lambda p, kappa, q: {
-            to(p, kq // n, kq % n): c for kq, c in twist(q, kappa).items()}
+        twist = right_smash_twist(K, act if kind == "alpha" else act_op)
+        return (((at(0, kappa, q), twist(q, kappa))
+                 for q in range(n) for kappa in range(nn)),
+                lambda kq: to(0, kq // n, kq % n), (1, 0, 0))
     if kind == "f":
         # Y -> Z: sum (p (x) q.S_K^-1(k2)) >< k1, its R^-1 at (kappa, q)
-        twist = functools.cache(right_smash_twist_inv(K, act_op))
-        return lambda p, kappa, q: {
-            to(p, qk % nn, qk // nn): c for qk, c in twist(kappa, q).items()}
+        twist = right_smash_twist_inv(K, act_op)
+        return (((at(0, kappa, q), twist(kappa, q))
+                 for kappa in range(nn) for q in range(n)),
+                lambda qk: to(0, qk % nn, qk // nn), (1, 0, 0))
     if kind == "beta_inv":
-        # Z -> X: (1 (x) (p (x) q)) (kappa (x) 1) in X, X's R
+        # Z -> X: (1 (x) (p (x) q)) (kappa (x) 1) in X, X's R at
+        # (p n + q, g n + h), whose keys are X's indices
         twist = x_twist(setup)
-        return lambda p, kappa, q: twist(p * n + q, kappa % n * n + kappa // n)
-    # X -> Z: sum (k1 -> p (x) k3 -> q) >< k2, over Delta^2(kappa); a term
-    # whose p arrow vanishes is skipped before its q arrow is read
+        return (((at(pq // n, gh % n * n + gh // n, pq % n), twist(pq, gh))
+                 for pq in range(nn) for gh in range(nn)),
+                None, (0, 0, 0))
+    # X -> Z: sum (k1 -> p (x) k3 -> q) >< k2, over Delta^2(kappa), a
+    # column at a time; a term whose p arrow vanishes is skipped before
+    # its q arrow is read
     delta2, arrows = K.coalgebra.delta2, act.tensor
 
     def column(p, kappa, q):
@@ -121,11 +149,13 @@ def _column(kind, setup, to):
             if qv:
                 for p2, cp in pv.items():
                     for q2, cq in qv.items():
-                        key = to(p2, k2, q2)
+                        key = (p2 * n + q2) * nn + k2
                         acc[key] = acc.get(key, 0) + c * cp * cq
         return acc
 
-    return column
+    return (((at(p, kappa, q), column(p, kappa, q)) for p in range(n)
+             for kappa in range(nn) for q in range(n)),
+            None, (0, 0, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -125,10 +125,16 @@ class LinearMap:
     @classmethod
     def from_columns(cls, field, src_dim, dst_dim, col_svs):
         """The map whose column j is the canonical sparse vector col_svs[j]."""
-        m = cls(field, src_dim, dst_dim)
-        cols = [[x for r in sorted(col) for x in (r, col[r])] for col in col_svs]
+        return cls.from_flat_columns(field, src_dim, dst_dim, [
+            [x for r in sorted(col) for x in (r, col[r])] for col in col_svs])
+
+    @classmethod
+    def from_flat_columns(cls, field, src_dim, dst_dim, cols):
+        """The map whose column j is cols[j], [r0, c0, r1, c1, ...] over its
+        nonzero canonical entries in ascending row order."""
         if len(cols) != src_dim:
             raise DimensionMismatchError("column count does not match src_dim")
+        m = cls(field, src_dim, dst_dim)
         m._cols = cols
         return m
 
