@@ -612,13 +612,12 @@ def op_algebra(alg, labels=None):
                        list(labels or alg.basis_labels), mult, list(alg.unit))
 
 
-def cop_coalgebra(coa, labels=None):
+def cop_coalgebra(coa):
     """Same space with reversed comultiplication."""
     comult = {}
     for i, terms in coa.comult.items():
         comult[i] = [(k, j, c) for j, k, c in terms]
-    return CoalgebraData(coa.field, coa.dim,
-                         list(labels or coa.basis_labels), comult,
+    return CoalgebraData(coa.field, coa.dim, list(coa.basis_labels), comult,
                          list(coa.counit))
 
 

@@ -68,8 +68,7 @@ class AlgebraHandle:
     `pair_fn(i, j)` over every j.  A handle that is built but not used
     holds O(dim) slots.  `basis_product` finds its j in row i by binary
     search, `product` walks the rows of the support of x, and
-    `product_dense` and `materialize` read rows too.  `materialized` is
-    filled by `materialize`.
+    `product_dense` and `materialize` read rows too.
 
     `keyed_row(i)` is row i keyed as {j: {k: c}} (`algebra.keyed_rows`),
     the row shape the exhaustive certificates read: the axioms, module
@@ -88,7 +87,6 @@ class AlgebraHandle:
         self.basis_labels = basis_labels
         self.unit = dict(unit_sv)
         self.provenance = provenance
-        self.materialized = None
         self._pair_fn = pair_fn
         self._row_fn = row_fn
         self._rows = [None] * dim
@@ -150,34 +148,28 @@ class AlgebraHandle:
         return out
 
 
-def materialize(handle, cap=64):
+def materialize(handle, cap):
     """Structure constants read off the compiled rows, keyed (i, j) in
     order and each sorted by k.
 
     Refuses when dim exceeds the cap, signalling the caller to stay in
-    oracle mode.  The result is cached on the handle.
+    oracle mode.
     """
     if handle.dim > cap:
         raise CapExceededError(
             f"dim {handle.dim} exceeds materialization cap {cap}")
-    if handle.materialized is not None:
-        return handle.materialized
     mult = {}
     for i in range(handle.dim):
         terms = iter(handle._row(i))
         for j, k, c in zip(terms, terms, terms):
             mult.setdefault((i, j), {})[k] = c
-    alg = AlgebraData(handle.field, handle.dim, list(handle.basis_labels),
-                      mult, handle.unit_dense())
-    handle.materialized = alg
-    return alg
+    return AlgebraData(handle.field, handle.dim, list(handle.basis_labels),
+                       mult, handle.unit_dense())
 
 
-def handle_from_algebra(alg, provenance="plain", factor_dims=None):
-    h = AlgebraHandle(alg.field, factor_dims or (alg.dim,), alg.basis_labels,
-                      alg.unit_sv(), alg.mul_basis, provenance)
-    h.materialized = alg
-    return h
+def handle_from_algebra(alg):
+    return AlgebraHandle(alg.field, (alg.dim,), alg.basis_labels,
+                         alg.unit_sv(), alg.mul_basis, "plain")
 
 
 def check_handle_axioms(handle, mode=None):
@@ -410,26 +402,25 @@ def _twisted_pair(a_alg, b_alg, twist, sep, provenance):
                           b_alg.dim, twist, dims, labels, unit, provenance)
 
 
-def left_smash(a_alg, hopf, act, verify=True, provenance="left_smash"):
+def left_smash(a_alg, hopf, act, verify=True):
     """A # H for a left H-module algebra A."""
     if verify:
         check_module_algebra("left", hopf, a_alg, act).require(
             "left smash needs a module algebra")
     return _twisted_pair(a_alg, hopf.algebra, left_smash_twist(hopf, act),
-                         "#", provenance)
+                         "#", "left_smash")
 
 
-def right_smash(hopf, b_alg, act, verify=True, provenance="right_smash"):
+def right_smash(hopf, b_alg, act, verify=True):
     """H # B for a right H-module algebra B."""
     if verify:
         check_module_algebra("right", hopf, b_alg, act).require(
             "right smash needs a module algebra")
     return _twisted_pair(hopf.algebra, b_alg, right_smash_twist(hopf, act),
-                         "#", provenance)
+                         "#", "right_smash")
 
 
-def two_sided_crossed(a_alg, hopf, b_alg, act_left, act_right, verify=True,
-                      provenance="two_sided"):
+def two_sided_crossed(a_alg, hopf, b_alg, act_left, act_right, verify=True):
     """A # H # B combining a left action on A and a right action on B.
 
     The A # H factor it is built over is kept on the handle as `left`.
@@ -454,20 +445,19 @@ def two_sided_crossed(a_alg, hopf, b_alg, act_left, act_right, verify=True,
     # copy of every row would add to the peak memory of the handle
     handle = twisted_tensor(a_alg.field, lambda a: keyed_row(left._row(a)),
                             b_alg.mul_basis, db, twist, (da, dh, db), labels,
-                            unit, provenance)
+                            unit, "two_sided")
     handle.left = left
     return handle
 
 
-def diagonal_crossed(c_alg, hopf, act_left, act_right, verify=True,
-                     provenance="diagonal"):
+def diagonal_crossed(c_alg, hopf, act_left, act_right, verify=True):
     """C >< H for an H-bimodule algebra C, with the S^-1-twisted product."""
     if verify:
         check_bimodule_algebra(hopf, c_alg, act_left, act_right).require(
             "C is not a bimodule algebra")
     return _twisted_pair(c_alg, hopf.algebra,
                          diagonal_twist(hopf, act_left, act_right), "><",
-                         provenance)
+                         "diagonal")
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +615,7 @@ def build_xyz(hopf, which, setup=None):
     if which == "Y":
         return two_sided_crossed(setup.dual.algebra, setup.K,
                                  setup.dual_op_alg, setup.act_on_dual,
-                                 setup.act_on_dual_op, verify=False,
-                                 provenance="Y")
+                                 setup.act_on_dual_op, verify=False)
     if which == "Z":
         return _twisted_pair(setup.C, setup.K.algebra, z_twist(setup), "><",
                              "Z")

@@ -94,7 +94,7 @@ class Rationals:
     def fmt(self, v):
         return str(self.canon(v))
 
-    def random(self, rng, bound=10**6):
+    def random(self, rng, bound):
         return rng.randint(-bound, bound)
 
     def __str__(self):
@@ -149,7 +149,7 @@ class PrimeField:
     def fmt(self, v):
         return str(v % self.p)
 
-    def random(self, rng, bound=None):
+    def random(self, rng, bound):
         return rng.randrange(self.p)
 
     def __str__(self):

@@ -17,7 +17,9 @@ A plain algebra document carries only field/dim/basis/mult/unit.  Scalars
 are always strings ("3", "-5/7", or a residue "4") so no numeric type in
 transit can lose exactness.  Optional blocks "module", "actions" and
 "coactions" attach a based module with action/coaction tensors in the
-same sparse-triple encoding.  Unknown keys are rejected everywhere.
+same sparse-triple encoding: at most one block per side and `by`, and in
+a plain algebra document only actions by self, the only blocks `check`
+can certify without a coalgebra.  Unknown keys are rejected everywhere.
 """
 
 import json
@@ -126,12 +128,11 @@ class ParsedDocument:
     coalgebra keys are present, plus any module/action/coaction blocks."""
 
     def __init__(self, field, algebra, hopf=None, module_dim=None,
-                 module_basis=None, actions=(), coactions=()):
+                 actions=(), coactions=()):
         self.field = field
         self.algebra = algebra
         self.hopf = hopf
         self.module_dim = module_dim
-        self.module_basis = module_basis
         self.actions = list(actions)
         self.coactions = list(coactions)
 
@@ -141,9 +142,8 @@ class ParsedDocument:
 
     def bimodule(self):
         """Assemble a HopfBimoduleData when exactly the four dual-sided
-        blocks (left/right action, left/right coaction) are present."""
-        if self.hopf is None or self.module_dim is None:
-            return None
+        blocks (left/right action, left/right coaction) are present; the
+        reader admits those only in a Hopf document with a module."""
         acts = {a.side: a for a, by in self.actions if by == "dual"}
         coacts = {c.side: c for c, by in self.coactions if by == "dual"}
         if set(acts) == {"left", "right"} and set(coacts) == {"left", "right"}:
@@ -197,14 +197,12 @@ def read_document(data):
         hopf = HopfAlgebraData(algebra, coalgebra, antipode)
 
     module_dim = None
-    module_basis = None
     if "module" in data:
         _check_keys(data["module"], MODULE_KEYS, "module")
         module_dim = _positive_int(data["module"].get("dim"), "module.dim")
-        module_basis = data["module"].get("basis")
-        if module_basis is not None and (
-                not isinstance(module_basis, list)
-                or len(module_basis) != module_dim):
+        labels = data["module"].get("basis")
+        if labels is not None and (
+                not isinstance(labels, list) or len(labels) != module_dim):
             raise FormatError("module.basis must list module.dim labels")
 
     blocks = {"actions": [], "coactions": []}
@@ -220,6 +218,11 @@ def read_document(data):
                     f"{noun} needs side left/right and by self/dual")
             if module_dim is None:
                 raise FormatError(f"{key} require a module block")
+            if hopf is None and (key == "coactions" or by == "dual"):
+                raise FormatError(f"{noun} by {by} needs a Hopf algebra "
+                                  f"document")
+            if any((b.side, b_by) == (side, by) for b, b_by in parsed):
+                raise FormatError(f"duplicate {side} {noun} by {by}")
             entries = _table(field, block.get("tensor", []),
                              (dim, module_dim, module_dim), f"{noun} tensor")
             tensor = {}
@@ -233,8 +236,7 @@ def read_document(data):
                 built = CoactionData(field, module_dim, dim, side, tensor)
             parsed.append((built, by))
 
-    return ParsedDocument(field, algebra, hopf, module_dim, module_basis,
-                          **blocks)
+    return ParsedDocument(field, algebra, hopf, module_dim, **blocks)
 
 
 def load_document(path):

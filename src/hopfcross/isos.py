@@ -136,38 +136,43 @@ def _reads(kind, setup, at, to):
         return (((at(pq // n, gh % n * n + gh // n, pq % n), twist(pq, gh))
                  for pq in range(nn) for gh in range(nn)),
                 None, (0, 0, 0))
-    # X -> Z: sum (k1 -> p (x) k3 -> q) >< k2, over Delta^2(kappa), a
-    # column at a time; a term whose p arrow vanishes is skipped before
-    # its q arrow is read
-    delta2, arrows = K.coalgebra.delta2, act.tensor
+    # X -> Z: sum (k1 -> p (x) k3 -> q) >< k2, over Delta^2(kappa), the
+    # n^2 columns of one kappa in one pass over its terms; `arrows[k]`
+    # lists the nonzero k -> e^x by x, and a term whose p arrows all
+    # vanish is skipped before its q arrows are read
+    delta2 = K.coalgebra.delta2
+    arrows = [[(x, sv) for x in range(n) if (sv := act.tensor.get((k, x)))]
+              for k in range(nn)]
 
-    def column(p, kappa, q):
-        acc = {}
+    def columns(kappa):
+        accs = [{} for _ in range(nn)]      # column (p, kappa, q) at p n + q
         for k1, k2, k3, c in delta2(kappa):
-            pv = arrows.get((k1, p))
-            qv = pv and arrows.get((k3, q))
-            if qv:
-                for p2, cp in pv.items():
-                    for q2, cq in qv.items():
-                        key = (p2 * n + q2) * nn + k2
-                        acc[key] = acc.get(key, 0) + c * cp * cq
-        return acc
+            pvs = arrows[k1]
+            qvs = pvs and arrows[k3]
+            for p, pv in pvs:
+                for q, qv in qvs:
+                    acc = accs[p * n + q]
+                    for p2, cp in pv.items():
+                        cp *= c
+                        for q2, cq in qv.items():
+                            key = (p2 * n + q2) * nn + k2
+                            acc[key] = acc.get(key, 0) + cp * cq
+        return ((at(pq // n, kappa, pq % n), acc)
+                for pq, acc in enumerate(accs))
 
-    return (((at(p, kappa, q), column(p, kappa, q)) for p in range(n)
-             for kappa in range(nn) for q in range(n)),
+    return ((item for kappa in range(nn) for item in columns(kappa)),
             None, (0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
 # verification
 
-def verify_algebra_morphism(lm, src, dst, mode=None, seed=0,
-                            trials=MORPHISM_TRIALS):
+def verify_algebra_morphism(lm, src, dst, mode=None):
     """map(unit) = unit and map(xy) = map(x)map(y).
 
     Exhaustive over all basis pairs when the source dimension is at most
-    81, else `trials` seeded random exact vector pairs; both modes read
-    the compiled rows of `src` and `dst`, the one product store of a
+    81, else MORPHISM_TRIALS seeded random exact vector pairs; both modes
+    read the compiled rows of `src` and `dst`, the one product store of a
     handle.  The exhaustive check is `multiplicative_items` over the
     keyed rows of both handles (`AlgebraHandle.keyed_row`, made once per
     handle): one block per left index, the report of the per-pair
@@ -191,7 +196,7 @@ def verify_algebra_morphism(lm, src, dst, mode=None, seed=0,
     unit_law = [(0, "morphism-unit", (), lm.apply_sv(src.unit),
                  sv_canon(dst.field, dst.unit))]
     return certify(mode, src.dim, exhaustive, trial, prelude=unit_law,
-                   cap=MORPHISM_DIM_CAP, trials=trials, seed=seed)
+                   cap=MORPHISM_DIM_CAP, trials=MORPHISM_TRIALS)
 
 
 def verify_mutually_inverse(m1, m2):

@@ -1,16 +1,17 @@
 """Check modes and reports shared by every verification routine.
 
-A CheckReport carries a pass/fail flag plus the first violation found
-(axiom name, witness indices, both sides of the failed identity), a
-count of checked items, so callers can print e.g. "pass (256 pairs)",
-and the mode the check ran in.  Every checker in the package is a
-stream of (count, axiom, witness, lhs, rhs) items, and `certify` is the
-one place that chooses between exhaustive and random checking, counts,
-compares and stops at the first violation.  Reports are deterministic for a fixed seed
-because every iteration order is fixed.
+A CheckReport carries the first violation found, if any (axiom name,
+witness indices, both sides of the failed identity), a count of checked
+items, so callers can print e.g. "pass (256 pairs)", and the mode the
+check ran in; it passed when it holds no violation.  Every checker in
+the package is a stream of (count, axiom, witness, lhs, rhs) items, and
+`certify` is the one place that chooses between exhaustive and random
+checking, counts, compares and stops at the first violation.  Reports
+are deterministic for a fixed seed because every iteration order is
+fixed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import itertools
 import random
 
@@ -49,13 +50,6 @@ class CheckMode:
         return CheckMode("random", trials=trials, seed=seed)
 
     @staticmethod
-    def auto(dim, cap=EXHAUSTIVE_DIM_CAP, trials=DEFAULT_TRIALS, seed=0):
-        """Exhaustive up to `cap`, else `trials` seeded random exact trials."""
-        if dim <= cap:
-            return CheckMode("exhaustive")
-        return CheckMode("random", trials=trials, seed=seed)
-
-    @staticmethod
     def deferred(seed=0):
         """The mode `certify` picks by dimension, seeded with `seed`."""
         return CheckMode("auto", seed=seed)
@@ -84,25 +78,26 @@ def _show(value, fmt):
 
 @dataclass
 class CheckReport:
-    passed: bool = True
-    violations: list = field(default_factory=list)
+    violation: Violation = None
     checked: int = 0
     mode: CheckMode = None
 
+    @property
+    def passed(self):
+        return self.violation is None
+
     def fail(self, axiom, witness, lhs, rhs):
-        self.passed = False
-        self.violations.append(Violation(axiom, tuple(witness), lhs, rhs))
+        self.violation = self.violation or Violation(axiom, tuple(witness),
+                                                     lhs, rhs)
 
     def absorb(self, other):
-        """Merge another report in; keeps the earliest violations first."""
+        """Merge another report in; keeps the earlier violation."""
         self.checked += other.checked
-        if not other.passed:
-            self.passed = False
-            self.violations.extend(other.violations)
+        self.violation = self.violation or other.violation
         return self
 
     def first(self):
-        return self.violations[0] if self.violations else None
+        return self.violation
 
     def require(self, message):
         """Raise UnverifiedActionError with `message` and this report if
@@ -131,8 +126,8 @@ def certify(mode, dim, exhaustive, trial, prelude=(), cap=EXHAUSTIVE_DIM_CAP,
     used is kept in `report.mode`.
     """
     if mode is None or mode.kind == "auto":
-        mode = CheckMode.auto(dim, cap=cap, trials=trials,
-                              seed=seed if mode is None else mode.seed)
+        mode = (CheckMode.exhaustive() if dim <= cap else CheckMode.random(
+            trials, seed if mode is None else mode.seed))
     if mode.kind == "exhaustive":
         items = exhaustive()
     else:
