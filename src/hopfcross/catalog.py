@@ -1,11 +1,10 @@
 """Built-in verified Hopf algebras: cyclic group algebras, their duals,
-the 4-dimensional small quantum group over Q, and its root-of-unity
-generalizations over prime fields.
-
-Comultiplication convention for the x-generator families is fixed as
-Delta(x) = x (x) 1 + g (x) x; the mirrored convention is out of scope.
-The root of unity used by `taft` is the smallest residue mod p whose
-multiplicative order is exactly n, so outputs are deterministic.
+and the pointed Taft algebras T_n, all built from one presentation by
+`_taft`.  sweedler4 is T_2 (omega = -1) over any field of characteristic
+!= 2, on the basis 1, g, x, gx; over F_p it is taft:2:p with g and x
+swapped.  taft:n:p is T_n over F_p on g^i x^j, g major, with omega the
+least residue of order exactly n.  Delta(x) = x (x) 1 + g (x) x
+throughout; the mirrored convention is out of scope.
 """
 
 from dataclasses import dataclass
@@ -18,8 +17,10 @@ from .linalg import sv_canon
 
 CATALOG_NAMES = ("cyclic", "dual_cyclic", "sweedler4", "taft")
 
-# Largest dim H of a catalog spec: `describe` takes 0.44 s on dual_cyclic:49,
-# most of it in the coassociativity check, which grows as dim^3 there.
+# Largest dim H of a catalog spec.  `describe --catalog dual_cyclic:49` takes
+# 0.07 s in process, 0.18 s with start-up (2 CPUs, Python 3.11), mostly in
+# coassociativity, which grows as dim^3: 1.4 s at dim 128.  The limit also
+# refuses specs too large to build (cyclic:100000 has 10^10 products).
 MAX_CATALOG_DIM = 49
 
 
@@ -39,8 +40,9 @@ def parse_catalog_spec(text, field=None):
 
     `field` defaults to Q; for taft the field is forced to F_p by the
     second parameter.  A spec with n < 1, a taft spec whose n does not
-    divide p - 1, and a spec whose dim H exceeds MAX_CATALOG_DIM are
-    rejected before anything is built.
+    divide p - 1, sweedler4 over F_2 (no root of unity of order 2), and
+    a spec whose dim H exceeds MAX_CATALOG_DIM are rejected before
+    anything is built.
     """
     parts = text.split(":")
     name, args = parts[0], parts[1:]
@@ -59,6 +61,8 @@ def parse_catalog_spec(text, field=None):
     if name == "sweedler4":
         if args:
             raise ValueError("sweedler4 takes no parameters")
+        if isinstance(field, PrimeField):
+            _check_root(field.p, 2)
         return CatalogSpec(name, (), field or QQ)
     if len(args) != 2:
         raise ValueError("taft takes two parameters, e.g. taft:2:5")
@@ -140,35 +144,9 @@ def _cyclic(n, field):
 
 
 def _sweedler4(field):
-    if field.characteristic == 2:
+    if field.characteristic == 2:    # there -1 = 1: a different algebra
         raise ValueError("the 4-dimensional example needs characteristic != 2")
-    one, zero = field.one, field.zero
-    minus = field.canon(field.neg(one))
-    labels = ["1", "g", "x", "gx"]
-    # g^2 = 1, x^2 = 0, xg = -gx
-    mult = {
-        (0, 0): {0: one}, (0, 1): {1: one}, (0, 2): {2: one}, (0, 3): {3: one},
-        (1, 0): {1: one}, (1, 1): {0: one}, (1, 2): {3: one}, (1, 3): {2: one},
-        (2, 0): {2: one}, (2, 1): {3: minus},
-        (3, 0): {3: one}, (3, 1): {2: minus},
-    }
-    unit = [one, zero, zero, zero]
-    alg = AlgebraData(field, 4, labels, mult, unit)
-    comult = {
-        0: [(0, 0, one)],
-        1: [(1, 1, one)],
-        2: [(2, 0, one), (1, 2, one)],            # x (x) 1 + g (x) x
-        3: [(3, 1, one), (0, 3, one)],            # gx (x) g + 1 (x) gx
-    }
-    counit = [one, one, zero, zero]
-    coa = CoalgebraData(field, 4, labels, comult, counit)
-    antipode = [
-        [one, zero, zero, zero],
-        [zero, one, zero, zero],
-        [zero, zero, zero, one],                  # S(gx) = x
-        [zero, zero, minus, zero],                # S(x) = -gx
-    ]
-    return HopfAlgebraData(alg, coa, antipode)
+    return _taft(2, field, -1, x_major=True)
 
 
 def _sv_power(product, acc, base_sv, exponent):
@@ -178,29 +156,28 @@ def _sv_power(product, acc, base_sv, exponent):
     return acc
 
 
-def _taft(n, p):
-    field = PrimeField(p)
-    omega = least_root_of_unity(p, n)
+def _taft(n, field, omega, x_major=False):
+    """The Taft algebra T_n over `field`, with xg = omega gx for omega a
+    primitive n-th root of unity, on the basis g^i x^j taken g-major
+    (x-major when `x_major`)."""
     dim = n * n
 
     def idx(i, j):
-        return i * n + j
+        return j * n + i % n if x_major else i % n * n + j
+
+    basis = sorted(((i, j) for i in range(n) for j in range(n)),
+                   key=lambda ij: idx(*ij))
 
     def label(i, j):
         gi = "" if i == 0 else ("g" if i == 1 else f"g^{i}")
         xj = "" if j == 0 else ("x" if j == 1 else f"x^{j}")
         return (gi + xj) or "1"
 
-    labels = [label(i, j) for i in range(n) for j in range(n)]
-    mult = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if j + l >= n:   # x^n = 0
-                        continue
-                    c = pow(omega, j * k, p)
-                    mult[(idx(i, j), idx(k, l))] = {idx((i + k) % n, j + l): c}
+    labels = [label(i, j) for i, j in basis]
+    # g^i x^j . g^k x^l = omega^(jk) g^(i+k) x^(j+l), and x^n = 0.
+    mult = {(a, b): {idx(i + k, j + l): field.canon(omega ** (j * k))}
+            for a, (i, j) in enumerate(basis)
+            for b, (k, l) in enumerate(basis) if j + l < n}
     unit = [field.one if t == 0 else field.zero for t in range(dim)]
     alg = AlgebraData(field, dim, labels, mult, unit)
 
@@ -211,23 +188,21 @@ def _taft(n, p):
     dx = sv_canon(field, {idx(0, 1) * dim + idx(0, 0): field.one,
                           idx(1, 0) * dim + idx(0, 1): field.one})
     comult = {}
-    for i in range(n):
-        for j in range(n):
-            v = _sv_power(sq, _sv_power(sq, sq_unit, dg, i), dx, j)
-            comult[idx(i, j)] = [(t // dim, t % dim, c) for t, c in sorted(v.items())]
-    counit = [field.one if t % n == 0 else field.zero for t in range(dim)]
+    for t, (i, j) in enumerate(basis):
+        v = _sv_power(sq, _sv_power(sq, sq_unit, dg, i), dx, j)
+        comult[t] = [(u // dim, u % dim, c) for u, c in sorted(v.items())]
+    counit = [field.one if j == 0 else field.zero for _, j in basis]
     coa = CoalgebraData(field, dim, labels, comult, counit)
 
     # S(g) = g^(n-1), S(x) = -g^(n-1) x; S(g^i x^j) = S(x)^j S(g)^i.
     mul = alg.mul_sv
-    sg = {idx((n - 1) % n, 0): field.one}
-    sx = {idx((n - 1) % n, 1): field.canon(field.neg(field.one))}
+    sg = {idx(n - 1, 0): field.one}
+    sx = {idx(n - 1, 1): field.canon(field.neg(field.one))}
     antipode = [[field.zero] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            v = _sv_power(mul, _sv_power(mul, alg.unit_sv(), sx, j), sg, i)
-            for r, c in v.items():
-                antipode[r][idx(i, j)] = c
+    for t, (i, j) in enumerate(basis):
+        v = _sv_power(mul, _sv_power(mul, alg.unit_sv(), sx, j), sg, i)
+        for r, c in v.items():
+            antipode[r][t] = c
     return HopfAlgebraData(alg, coa, antipode)
 
 
@@ -243,7 +218,7 @@ def catalog_hopf(spec, verify=True):
         n, p = spec.params
         if not isinstance(spec.field, PrimeField) or spec.field.p != p:
             raise ValueError("taft entries live over F_p")
-        hopf = _taft(n, p)
+        hopf = _taft(n, spec.field, least_root_of_unity(p, n))
     else:
         raise ValueError(f"unknown catalog entry {spec.name!r}")
     if verify:

@@ -251,7 +251,7 @@ def cmd_iso(args):
     field = hopf.field
     _check_input(hopf, args.seed)
     setup = StandardTriple(hopf)
-    src_name, dst_name = ISO_SPECS[args.kind][:2]
+    src_name, dst_name = ISO_SPECS[args.kind]
     src = build_xyz(hopf, src_name, setup)
     dst = build_xyz(hopf, dst_name, setup)
     forward = build_iso(args.kind, hopf, setup)
