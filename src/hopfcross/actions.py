@@ -49,13 +49,22 @@ class ActionData:
         return self.tensor.get((i, j), {})
 
     def act_sv(self, actor_sv, space_sv):
+        """The action of a sparse actor on a sparse space vector; reads
+        the tensor entries by probing every pair of the two supports, or,
+        when there are more such pairs than entries, walks the entries."""
         acc = {}
         tensor = self.tensor
-        for i, a in actor_sv.items():
-            for j, b in space_sv.items():
-                entries = tensor.get((i, j))
-                if entries:
+        if len(actor_sv) * len(space_sv) > len(tensor):
+            for (i, j), entries in tensor.items():
+                a, b = actor_sv.get(i), space_sv.get(j)
+                if a is not None and b is not None:
                     sv_add_into(acc, entries, a * b)
+        else:
+            for i, a in actor_sv.items():
+                for j, b in space_sv.items():
+                    entries = tensor.get((i, j))
+                    if entries:
+                        sv_add_into(acc, entries, a * b)
         return sv_canon(self.field, acc)
 
     def rows(self):

@@ -177,7 +177,7 @@ class HopfAlgebraData:
 
 
 def random_dense_vector(field, rng, dim, bound=RANDOM_COORD_BOUND):
-    return [field.canon(field.random(rng, bound)) for _ in range(dim)]
+    return [field.random(rng, bound) for _ in range(dim)]
 
 
 # ---------------------------------------------------------------------------

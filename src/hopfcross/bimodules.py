@@ -229,12 +229,13 @@ def check_module_over_handle(handle, act, mode=None):
                                     "module-assoc")
 
     def trial(rng, t):
-        x = sv_from_list(field, random_dense_vector(field, rng, handle.dim))
-        y = sv_from_list(field, random_dense_vector(field, rng, handle.dim))
+        xs = random_dense_vector(field, rng, handle.dim)
+        ys = random_dense_vector(field, rng, handle.dim)
         m = sv_from_list(field, random_dense_vector(field, rng, act.space_dim))
-        yield (1, "module-assoc", ("trial", t),
-               act.act_sv(handle.product(x, y), m),
-               act.act_sv(x, act.act_sv(y, m)))
+        xy = sv_from_list(field, handle.product_dense(xs, ys))
+        yield (1, "module-assoc", ("trial", t), act.act_sv(xy, m),
+               act.act_sv(sv_from_list(field, xs),
+                          act.act_sv(sv_from_list(field, ys), m)))
 
     unit_law = ((1, "module-unit", (j,), act.act_sv(handle.unit, {j: one}),
                  {j: one}) for j in range(act.space_dim))

@@ -68,7 +68,9 @@ class AlgebraHandle:
     `pair_fn(i, j)` over every j.  A handle that is built but not used
     holds O(dim) slots.  `basis_product` finds its j in row i by binary
     search, `product` walks the rows of the support of x, and
-    `product_dense` and `materialize` read rows too.
+    `product_dense` and `materialize` read rows too; over Q, once every
+    row is compiled, `product_dense` runs on doubles wherever a bound
+    read off the rows proves them exact.
 
     `keyed_row(i)` is row i keyed as {j: {k: c}} (`algebra.keyed_rows`),
     the row shape the exhaustive certificates read: the axioms, module
@@ -90,6 +92,7 @@ class AlgebraHandle:
         self._pair_fn = pair_fn
         self._row_fn = row_fn
         self._rows = [None] * dim
+        self._bound = None      # `_double_bound`, once every row is compiled
         self.keyed_row = keyed_rows(self._row)
 
     def _row(self, i):
@@ -130,16 +133,63 @@ class AlgebraHandle:
         return sv_canon(self.field, acc)
 
     def product_dense(self, xs, ys):
+        """Dense product of coefficient lists over the rows of x's support;
+        exact and canonical.
+
+        Over Q with `int` coordinates the loop runs on doubles when
+        max(1, max|x|) max(1, max|y|) m < 2^53, m = `_double_bound()`.
+        Then x_i, y_j, c, y_j c, x_i (y_j c) and every partial sum of
+        acc[k] are integers below 2^53 in magnitude: acc[k] sums at most
+        N_k terms, each at most max|x| max|y| max|c|.  IEEE-754 doubles
+        represent such integers, and their products and sums are exact,
+        so `int` of each entry is the list the exact loop gives, entry
+        for entry and type for type.  Otherwise, and always over F_p
+        (whose residues are small cached ints), the loop runs on the
+        exact scalars.
+        """
         acc = [0] * self.dim
         zero = self.field.zero
+        doubles = self._exact_in_doubles(xs, ys)
+        if doubles:
+            xs, ys = list(map(float, xs)), list(map(float, ys))
         for i, a in enumerate(xs):
             if a == zero:
                 continue
             terms = iter(self._row(i))
             for j, k, c in zip(terms, terms, terms):
                 acc[k] += a * (ys[j] * c)
+        if doubles:
+            return list(map(int, acc))
         canon = self.field.canon
         return [canon(v) for v in acc]
+
+    def _exact_in_doubles(self, xs, ys):
+        """Whether `product_dense` of xs and ys runs exactly on doubles."""
+        if self.field.characteristic or not self._double_bound():
+            return False
+        if not set(map(type, xs)) == set(map(type, ys)) == {int}:
+            return False
+        return (max(1, max(map(abs, xs), default=0))
+                * max(1, max(map(abs, ys), default=0)) * self._bound < 2 ** 53)
+
+    def _double_bound(self):
+        """m = max|c| max_k N_k, N_k the number of row terms with output
+        index k over all rows; 0 when a structure constant is not an
+        `int` or there is no term.  Computed once every row is compiled,
+        and read as 0 until then."""
+        if self._bound is None and None not in self._rows:
+            counts = [0] * self.dim
+            top = 0
+            for row in self._rows:
+                for k in row[1::3]:
+                    counts[k] += 1
+                consts = row[2::3]
+                if not set(map(type, consts)) <= {int}:
+                    top = 0
+                    break
+                top = max(top, max(map(abs, consts), default=0))
+            self._bound = top * max(counts)
+        return self._bound or 0
 
     def unit_dense(self):
         out = [self.field.zero] * self.dim

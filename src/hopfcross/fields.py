@@ -12,6 +12,9 @@ For both fields the native ``+``/``-``/``*`` operators are exact ring
 operations on scalar values, so hot loops may accumulate natively and
 call ``canon`` once on the result (for F_p this reduces mod p; the
 reduction commutes with integer arithmetic, so the outcome is exact).
+The one place a float appears is the Q dense kernel of
+``crossed.AlgebraHandle.product_dense``, and only under a bound that
+makes every value it computes an integer doubles hold exactly.
 
 Scalar literals in files are strings: ``"3"``, ``"-5/7"`` over Q, or a
 residue like ``"4"`` over F_p.
